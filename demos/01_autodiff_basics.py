@@ -33,8 +33,9 @@ print(f"analytic dx[{i},{j}] = {x.grad[i, j]:.10f}")
 print(f"numeric  dx[{i},{j}] = {fd:.10f}")
 
 # Convolution with full gradients; the same engine carries the whole model.
+# A 4x4 kernel at stride 2, pad 1 (the encoder's down-conv) halves 8x8 to 4x4.
 img = Tensor(rng.normal(size=(1, 3, 8, 8)), requires_grad=True)
-kernel = Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.2, requires_grad=True)
+kernel = Tensor(rng.normal(size=(4, 3, 4, 4)) * 0.2, requires_grad=True)
 feat = conv2d(img, kernel, stride=2, pad=1)
 print("conv output shape:", feat.shape)
 

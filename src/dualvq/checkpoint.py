@@ -4,7 +4,10 @@ A checkpoint is a directory: ``tensors/`` holds one binary dump per
 parameter and per Adam moment, and ``manifest.json`` (written last, so a
 manifest implies a complete checkpoint) carries the config echo, step,
 seed, optimizer counters, and usage counters. Quantizer tensors keep
-their state keys (``global_cb``, ``local_cb``, ``tf.layer{i}.*``).
+their state keys (``global_cb``, ``local_cb``, ``tf.layer{i}.*``); usage
+counters are stored under the names the quantizer's ``codebooks()`` gives
+(``global`` and ``local``, or ``global`` alone for the single-codebook
+baseline).
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import os
 import numpy as np
 
 from . import tensor_io
-from .dual_quantizer import DualQuantizerState
 from .model import ModelState, TrainConfig, init_model
 
 FORMAT_VERSION = 1
@@ -51,12 +53,6 @@ def save_checkpoint(state: ModelState, dirpath: str, experiment: dict | None = N
             tensor_io.save_array(os.path.join(dirpath, "tensors", fname), table[name])
             index.append({"key": f"{prefix}.{name}", "file": fname})
 
-    if isinstance(state.quantizer, DualQuantizerState):
-        counts = {"global": _counts_blob(state.quantizer.global_cb),
-                  "local": _counts_blob(state.quantizer.local_cb)}
-    else:
-        counts = {"global": _counts_blob(state.quantizer.cb)}
-
     manifest = {
         "format_version": FORMAT_VERSION,
         "step": state.step,
@@ -64,7 +60,7 @@ def save_checkpoint(state: ModelState, dirpath: str, experiment: dict | None = N
         "config": state.config.to_dict(),
         "adam_t_gen": state.adam_t_gen,
         "adam_t_disc": state.adam_t_disc,
-        "counts": counts,
+        "counts": {name: _counts_blob(cb) for name, cb in state.quantizer.codebooks().items()},
         "tensors": index,
     }
     if experiment is not None:
@@ -110,12 +106,8 @@ def load_checkpoint(dirpath: str) -> tuple[ModelState, dict]:
     if missing:
         raise ValueError(f"checkpoint is missing tensors: {sorted(missing)[:5]}")
 
-    counts = manifest["counts"]
-    if isinstance(state.quantizer, DualQuantizerState):
-        _restore_counts(state.quantizer.global_cb, counts["global"])
-        _restore_counts(state.quantizer.local_cb, counts["local"])
-    else:
-        _restore_counts(state.quantizer.cb, counts["global"])
+    for name, cb in state.quantizer.codebooks().items():
+        _restore_counts(cb, manifest["counts"][name])
     return state, manifest
 
 

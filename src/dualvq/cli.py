@@ -10,26 +10,15 @@ import json
 import sys
 
 from .autodiff import NonFiniteError
-from .config import ConfigError, config_from_dict, load_config
+from .config import ConfigError, load_config
 from .metrics import sanitize_for_json
 from .run import export_codebook, run_ablation, run_eval, run_train
 
 
-def _load_with_overrides(path: str, seed=None, out=None):
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    if seed is not None:
-        raw["seed"] = seed
-    if out is not None:
-        raw["out_dir"] = out
-    return config_from_dict(raw)
+def _config_from_args(args):
+    """The ``--config`` file with ``--seed`` and ``--out`` applied."""
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    return load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,9 +54,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "train":
-            cfg = load_config(args.config) if args.seed is None and args.out is None else \
-                _load_with_overrides(args.config, args.seed, args.out)
-            result = run_train(cfg, resume=args.resume, force=args.force)
+            result = run_train(_config_from_args(args), resume=args.resume, force=args.force)
             print(f"run complete: {result.out_dir}")
             print(f"  steps csv : {result.steps_csv}")
             print(f"  final ckpt: {result.final_checkpoint}")
@@ -75,9 +62,7 @@ def main(argv=None) -> int:
             ev = run_eval(args.checkpoint, split=args.split, out_path=args.out)
             print(json.dumps(sanitize_for_json(ev), indent=1, sort_keys=True))
         elif args.command == "ablate":
-            cfg = load_config(args.config) if args.seed is None and args.out is None else \
-                _load_with_overrides(args.config, args.seed, args.out)
-            path = run_ablation(cfg)
+            path = run_ablation(_config_from_args(args))
             print(f"ablation table: {path}")
         elif args.command == "export":
             export_codebook(args.checkpoint, args.which, args.out)

@@ -118,8 +118,7 @@ def quantize_st(features: Tensor, cb: Codebook, beta: float = 0.25,
     idx = nearest_indices(features, table)
     selected = gather_rows(table, idx)
     z_q = straight_through(features, selected)
-    codebook_term = mse_loss(stop_gradient(features), selected)
-    commitment_term = beta * mse_loss(stop_gradient(selected), features)
+    codebook_term, commitment_term = vq_terms(features, selected, beta)
     if update_usage:
         cb.record(idx)
     return QuantizationResult(z_q=z_q, indices=idx, codebook_term=codebook_term,
@@ -158,7 +157,9 @@ def load_codebook(path: str) -> Codebook:
         raise ValueError(f"bad codebook dump magic {blob[:4]!r}")
     k, d = struct.unpack_from("<II", blob, 4)
     entries, pos = tensor_io.bytes_to_array(blob, 12)
-    counts = np.frombuffer(blob[pos : pos + 8 * k], dtype="<u8").astype(np.uint64)
+    if len(blob) != pos + 8 * k:
+        raise ValueError(f"{path}: codebook dump is {len(blob)} bytes, expected {pos + 8 * k}")
+    counts = np.frombuffer(blob[pos:], dtype="<u8").astype(np.uint64)
     cb = Codebook(k, d, entries=entries)
     cb.counts = counts.copy()
     cb.total_assignments = int(counts.sum())

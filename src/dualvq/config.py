@@ -127,7 +127,9 @@ def _fill_defaults(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Read a config file; ``overrides`` replace top-level keys before defaults
+    are filled in, so fields that default from them (``dataset.seed``) follow."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -137,6 +139,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
+    raw.update(overrides or {})
     return _fill_defaults(raw)
 
 

@@ -128,6 +128,8 @@ def load_ppm(path: str) -> np.ndarray:
     while len(fields) < 4:
         while pos < len(blob) and blob[pos : pos + 1].isspace():
             pos += 1
+        if pos >= len(blob):
+            raise ValueError(f"{path}: truncated PPM header ({len(fields)} of 4 fields)")
         if blob[pos : pos + 1] == b"#":
             while pos < len(blob) and blob[pos] != 0x0A:
                 pos += 1

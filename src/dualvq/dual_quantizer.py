@@ -6,11 +6,17 @@ local half against its raw codebook, and the two quantized halves
 concatenate back in the original channel order. Each half contributes a
 codebook term and a commitment term; the total quantization loss is their
 sum. A single-codebook mode covers the deterministic baseline.
+
+Both states expose ``codebooks()``, their codebooks by name (``"global"``
+and ``"local"``, or just ``"global"`` for the baseline) in the order their
+quantization results come back. Code that only walks the codebooks (usage
+reports, checkpoint counters, window resets, export) loops over it;
+``model.quantize_latents`` is the one place that picks a quantizer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +34,9 @@ class DualQuantizerState:
     split_local: int
     beta: float = 0.25
 
+    def codebooks(self) -> dict[str, Codebook]:
+        return {"global": self.global_cb, "local": self.local_cb}
+
     def named_params(self):
         yield "global_cb", self.global_cb.entries
         yield "local_cb", self.local_cb.entries
@@ -43,6 +52,9 @@ class SingleQuantizerState:
     cb: Codebook
     beta: float = 0.25
 
+    def codebooks(self) -> dict[str, Codebook]:
+        return {"global": self.cb}
+
     def named_params(self):
         yield "global_cb", self.cb.entries
 
@@ -54,8 +66,7 @@ def make_dual_state(split_global: int, split_local: int, k_global: int, k_local:
     local_cb = Codebook(k_local, split_local, rng=rng_local)
     tf_params = None
     if transformer_on:
-        cfg = tf_cfg or TransformerConfig()
-        cfg.embed_dim = split_global
+        cfg = replace(tf_cfg or TransformerConfig(), embed_dim=split_global)
         tf_params = TransformerParams(cfg, rng=rng_tf, zero_residual=zero_residual)
     return DualQuantizerState(global_cb=global_cb, local_cb=local_cb, tf_params=tf_params,
                               split_global=split_global, split_local=split_local, beta=beta)
@@ -69,11 +80,6 @@ def split_channels(z: Tensor, split_global: int) -> tuple[Tensor, Tensor]:
     if not 0 < split_global < c:
         raise ShapeError(f"split_channels: split {split_global} out of range for C={c}")
     return narrow(z, 1, 0, split_global), narrow(z, 1, split_global, c - split_global)
-
-
-def refine_global(cb: Codebook, tf_params: TransformerParams) -> Tensor:
-    """Refined lookup table for this step; the raw entries stay the parameters."""
-    return refine(cb.entries, tf_params)
 
 
 def channels_to_rows(z: Tensor) -> Tensor:
@@ -98,7 +104,8 @@ def quantize_dual(z: Tensor, state: DualQuantizerState,
     zg, zl = split_channels(z, state.split_global)
     fg = channels_to_rows(zg)
     fl = channels_to_rows(zl)
-    table = refine_global(state.global_cb, state.tf_params) if state.tf_params is not None else None
+    # the refined table is this step's lookup; the raw entries stay the parameters
+    table = None if state.tf_params is None else refine(state.global_cb.entries, state.tf_params)
     res_g = quantize_st(fg, state.global_cb, beta=state.beta, entries=table,
                         update_usage=update_usage)
     res_l = quantize_st(fl, state.local_cb, beta=state.beta, update_usage=update_usage)

@@ -321,7 +321,8 @@ def discriminate(state: ModelState, x: Tensor) -> Tensor:
 
 
 def quantize_latents(state: ModelState, z: Tensor, update_usage: bool = True):
-    """Dispatch on quantizer mode; returns (z_q, [results])."""
+    """The one place that picks a quantizer; returns (z_q, [results]) with the
+    results in ``state.quantizer.codebooks()`` order."""
     if isinstance(state.quantizer, DualQuantizerState):
         z_q, res_g, res_l = quantize_dual(z, state.quantizer, update_usage=update_usage)
         return z_q, [res_g, res_l]
@@ -410,27 +411,24 @@ def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
     z = encode(state, x)
     z_q, results = quantize_latents(state, z, update_usage=True)
     x_hat = decode(state, z_q)
-    l_rec = l1_loss(x, x_hat)
     quant = quant_loss_total(results)
 
     use_gan = state.step >= cfg.disc_start_step
     lam = 0.0
-    gan_term = None
+    d_fake = None
     if use_gan:
         d_fake = discriminate(state, x_hat)
-        gan_term = _gen_gan_term(d_fake, cfg.gan_loss)
         last_w = state.gen_params["dec.out.w"]
         state.zero_grads()
-        backward(l_rec)
+        backward(l1_loss(x, x_hat))
         rec_norm = _grad_norm(last_w)
         state.zero_grads()
-        backward(gan_term)
+        backward(_gen_gan_term(d_fake, cfg.gan_loss))
         gan_norm = _grad_norm(last_w)
         lam = adaptive_lambda(rec_norm, gan_norm, LAMBDA_DELTA, cfg.lambda_max)
 
-    total = l_rec + quant
-    if gan_term is not None and lam != 0.0:
-        total = total + mul(gan_term, lam * cfg.disc_weight)
+    losses = generator_losses(x, x_hat, d_fake, lam, quant, cfg.disc_weight, cfg.gan_loss)
+    total = losses.total
     if not np.isfinite(total.data).all():
         bad = first_nonfinite(total)
         raise NonFiniteError(
@@ -459,21 +457,15 @@ def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
 
     state.step += 1
 
-    if isinstance(state.quantizer, DualQuantizerState):
-        res_g, res_l = results
-        perp_g, act_g = usage_stats(state.quantizer.global_cb)
-        perp_l, act_l = usage_stats(state.quantizer.local_cb)
-        lq_g = res_g.codebook_term.item() + res_g.commitment_term.item()
-        lq_l = res_l.codebook_term.item() + res_l.commitment_term.item()
-    else:
-        res = results[0]
-        perp_g, act_g = usage_stats(state.quantizer.cb)
-        perp_l, act_l = 0.0, 0.0
-        lq_g = res.codebook_term.item() + res.commitment_term.item()
-        lq_l = 0.0
+    # (perplexity, active fraction, quantization loss) per codebook; the
+    # single-codebook baseline reports zeros for the local columns
+    per_cb = {name: (*usage_stats(cb), res.codebook_term.item() + res.commitment_term.item())
+              for (name, cb), res in zip(state.quantizer.codebooks().items(), results)}
+    perp_g, act_g, lq_g = per_cb["global"]
+    perp_l, act_l, lq_l = per_cb.get("local", (0.0, 0.0, 0.0))
 
-    return StepReport(step=state.step, l_rec=l_rec.item(), l_quant_g=lq_g, l_quant_l=lq_l,
-                      lambda_=lam, d_loss=d_loss_val, perplexity_g=perp_g,
+    return StepReport(step=state.step, l_rec=losses.l_rec.item(), l_quant_g=lq_g,
+                      l_quant_l=lq_l, lambda_=lam, d_loss=d_loss_val, perplexity_g=perp_g,
                       perplexity_l=perp_l, active_g=act_g, active_l=act_l)
 
 

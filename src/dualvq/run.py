@@ -20,7 +20,6 @@ from .checkpoint import CsvLog, load_checkpoint, read_rows, save_checkpoint, tru
 from .codebook import dump_codebook, usage_stats
 from .config import ConfigError, ExperimentConfig, apply_grid_entry, experiment_hash, write_echo
 from .data import batch_indices, build_dataset, epoch_of_step, split_dataset
-from .dual_quantizer import DualQuantizerState
 from .metrics import (
     UtilizationReport,
     emit_utilization,
@@ -56,19 +55,15 @@ def _chunks(n, size):
         yield lo, min(lo + size, n)
 
 
-def _reconstruct_all(state: ModelState, images: np.ndarray) -> np.ndarray:
+def _reconstruct_all(state: ModelState, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reconstructions, and the quantized latents flattened to one row per image."""
     out = np.empty_like(images)
-    for lo, hi in _chunks(images.shape[0], _EVAL_CHUNK):
-        out[lo:hi] = reconstruct(state, images[lo:hi])[0]
-    return out
-
-
-def _latent_features(state: ModelState, images: np.ndarray) -> np.ndarray:
     rows = []
     for lo, hi in _chunks(images.shape[0], _EVAL_CHUNK):
-        z_q = reconstruct(state, images[lo:hi])[1]
+        x_hat, z_q, _ = reconstruct(state, images[lo:hi])
+        out[lo:hi] = x_hat
         rows.append(z_q.reshape(z_q.shape[0], -1))
-    return np.concatenate(rows, axis=0)
+    return out, np.concatenate(rows, axis=0)
 
 
 def _pixel_features(images: np.ndarray, grid: int = 8) -> np.ndarray:
@@ -84,7 +79,7 @@ def evaluate_state(state: ModelState, images: np.ndarray, fid_features: str = "l
     fid_star is a closed-form Fréchet distance between Gaussians fit to
     pluggable features; it is not Inception-FID.
     """
-    recon = _reconstruct_all(state, images)
+    recon, latents = _reconstruct_all(state, images)
     psnrs = [psnr(images[i], recon[i]) for i in range(images.shape[0])]
     l1s = [l1_metric(images[i], recon[i]) for i in range(images.shape[0])]
     l2s = [l2_metric(images[i], recon[i]) for i in range(images.shape[0])]
@@ -92,8 +87,8 @@ def evaluate_state(state: ModelState, images: np.ndarray, fid_features: str = "l
         feats_real = _pixel_features(images)
         feats_recon = _pixel_features(recon)
     else:
-        feats_real = _latent_features(state, images)
-        feats_recon = _latent_features(state, recon)
+        feats_real = latents
+        feats_recon = _reconstruct_all(state, recon)[1]
     fid = frechet_gaussian(*gaussian_stats(feats_real), *gaussian_stats(feats_recon))
     return {
         "step": state.step,
@@ -108,11 +103,7 @@ def evaluate_state(state: ModelState, images: np.ndarray, fid_features: str = "l
 
 
 def _utilization_report(state: ModelState, exp_hash: str) -> UtilizationReport:
-    if isinstance(state.quantizer, DualQuantizerState):
-        series = [series_from_codebook("global", state.quantizer.global_cb),
-                  series_from_codebook("local", state.quantizer.local_cb)]
-    else:
-        series = [series_from_codebook("global", state.quantizer.cb)]
+    series = [series_from_codebook(name, cb) for name, cb in state.quantizer.codebooks().items()]
     return UtilizationReport(series=series, step=state.step, config_hash=exp_hash)
 
 
@@ -168,7 +159,8 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
             step = state.step
             epoch = epoch_of_step(n_train, cfg.train.batch, step)
             if epoch > prev_epoch:
-                _reset_windows(state)
+                for cb in state.quantizer.codebooks().values():
+                    cb.reset_window()
             prev_epoch = epoch
             idx = batch_indices(cfg.train.seed, n_train, cfg.train.batch, step)
             report = training_step(state, train_set[idx])
@@ -197,14 +189,6 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
                      utilization_json=util_json, utilization_csv=util_csv, last_eval=last_eval)
 
 
-def _reset_windows(state: ModelState):
-    if isinstance(state.quantizer, DualQuantizerState):
-        state.quantizer.global_cb.reset_window()
-        state.quantizer.local_cb.reset_window()
-    else:
-        state.quantizer.cb.reset_window()
-
-
 def run_eval(checkpoint: str, split: str = "val", out_path: str | None = None,
              dataset: dict | None = None, fid_features: str | None = None) -> dict:
     """Evaluate a checkpoint on one split of its (or an overridden) dataset."""
@@ -222,15 +206,12 @@ def run_eval(checkpoint: str, split: str = "val", out_path: str | None = None,
     ev = evaluate_state(state, subset, kind)
     ev["split"] = split
     ev["checkpoint"] = checkpoint
-    if isinstance(state.quantizer, DualQuantizerState):
-        for name, cb in (("global", state.quantizer.global_cb), ("local", state.quantizer.local_cb)):
-            perp, act = usage_stats(cb)
-            ev[f"perplexity_{name[0]}"] = perp
-            ev[f"active_{name[0]}"] = act
-    else:
-        perp, act = usage_stats(state.quantizer.cb)
-        ev["perplexity_g"], ev["active_g"] = perp, act
-        ev["perplexity_l"], ev["active_l"] = 0.0, 0.0
+    codebooks = state.quantizer.codebooks()
+    for name in ("global", "local"):
+        # the single-codebook baseline has no local codebook and reports zeros
+        perp, act = usage_stats(codebooks[name]) if name in codebooks else (0.0, 0.0)
+        ev[f"perplexity_{name[0]}"] = perp
+        ev[f"active_{name[0]}"] = act
     if out_path:
         tensor_io.atomic_write_bytes(
             out_path, json.dumps(sanitize_for_json(ev), indent=1, sort_keys=True).encode()
@@ -296,10 +277,7 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> str:
 
 def export_codebook(checkpoint: str, which: str, out_path: str):
     state, _ = load_checkpoint(checkpoint)
-    if isinstance(state.quantizer, DualQuantizerState):
-        table = {"global": state.quantizer.global_cb, "local": state.quantizer.local_cb}
-    else:
-        table = {"global": state.quantizer.cb}
+    table = state.quantizer.codebooks()
     if which not in table:
         raise ConfigError(f"no {which!r} codebook in this checkpoint (have {sorted(table)})")
     dump_codebook(table[which], out_path)

@@ -248,3 +248,13 @@ class TestDump:
         assert np.array_equal(back.entries.data, cb.entries.data)
         assert np.array_equal(back.counts, cb.counts)
         assert back.total_assignments == cb.total_assignments
+
+    def test_wrong_length_dump_rejected(self, tmp_path):
+        cb = make_cb(np.random.default_rng(43).normal(size=(8, 3)))
+        path = tmp_path / "cb.dvqc"
+        dump_codebook(cb, str(path))
+        blob = path.read_bytes()
+        for bad in (blob[:-24], blob + b"\0" * 8):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match="codebook dump"):
+                load_codebook(str(path))

@@ -102,6 +102,13 @@ class TestPpm:
         with pytest.raises(ValueError):
             load_ppm_dir(str(tmp_path), 8)
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "cut.ppm"
+        path.write_bytes(b"P6\n4 ")
+        with pytest.raises(ValueError, match="truncated PPM header") as err:
+            load_ppm(str(path))
+        assert str(path) in str(err.value)
+
     def test_build_dataset_ppm(self, tmp_path):
         save_ppm(str(tmp_path / "a.ppm"), np.zeros((3, 16, 16)))
         imgs = build_dataset({"kind": "ppm_dir", "path": str(tmp_path)}, 16)

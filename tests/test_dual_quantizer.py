@@ -322,3 +322,11 @@ class TestMakeState:
         assert np.array_equal(a.global_cb.entries.data, b.global_cb.entries.data)
         assert np.array_equal(a.local_cb.entries.data, b.local_cb.entries.data)
         assert a.tf_params is not None and b.tf_params is None
+
+    def test_caller_transformer_config_unchanged(self):
+        cfg = TransformerConfig(embed_dim=4)
+        state = make_dual_state(2, 6, 8, 8, 0.25, True, cfg,
+                                component_rng(7, "cb_g"), component_rng(7, "cb_l"),
+                                component_rng(7, "tf"))
+        assert cfg.embed_dim == 4
+        assert state.tf_params.cfg.embed_dim == 2

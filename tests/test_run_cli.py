@@ -129,6 +129,51 @@ class TestRunEval:
             run_eval(result.final_checkpoint, split="holdout")
 
 
+def single_raw(out_dir, **overrides):
+    return small_raw(out_dir, quantizer_mode="single", **overrides)
+
+
+@pytest.fixture(scope="module")
+def single_run(tmp_path_factory):
+    # 32 training images at batch 4: the epoch boundary falls after step 8
+    return run_train(config_from_dict(single_raw(tmp_path_factory.mktemp("single") / "run")))
+
+
+class TestSingleMode:
+    def test_trains_across_epoch_boundary_and_evaluates(self, single_run):
+        _, rows = read_rows(single_run.steps_csv)
+        assert [int(r[0]) for r in rows] == list(range(1, 13))
+        assert all(r[3] == r[7] == r[9] == "0.0" for r in rows)
+        _, eval_rows = read_rows(single_run.eval_csv)
+        assert [int(r[0]) for r in eval_rows] == [4, 8, 12]
+        state, manifest = load_checkpoint(single_run.final_checkpoint)
+        assert sorted(manifest["counts"]) == ["global"]
+        cb = state.quantizer.codebooks()["global"]
+        rows_per_step = 4 * 8 * 8
+        assert cb.total_assignments == 12 * rows_per_step
+        assert cb.window_total == 4 * rows_per_step
+
+    def test_resume_bit_identical(self, tmp_path, single_run):
+        part = run_train(config_from_dict(single_raw(tmp_path / "part")), stop_after=6)
+        run_train(config_from_dict(single_raw(tmp_path / "part")),
+                  resume=os.path.join(part.out_dir, "checkpoints", "last"))
+        for name in ("steps.csv", "eval.csv"):
+            with open(os.path.join(single_run.out_dir, name)) as full, \
+                    open(os.path.join(part.out_dir, name)) as resumed:
+                assert full.read() == resumed.read()
+
+    def test_eval_reports_no_local_codebook(self, single_run):
+        ev = run_eval(single_run.final_checkpoint, split="test")
+        assert ev["perplexity_l"] == ev["active_l"] == 0.0
+        assert ev["perplexity_g"] > 0.0 and ev["active_g"] > 0.0
+
+    def test_export_local_refused(self, tmp_path, single_run):
+        with pytest.raises(ConfigError, match="local"):
+            export_codebook(single_run.final_checkpoint, "local", str(tmp_path / "l.dvqc"))
+        export_codebook(single_run.final_checkpoint, "global", str(tmp_path / "g.dvqc"))
+        assert load_codebook(str(tmp_path / "g.dvqc")).dim == 8
+
+
 TABLE3_GRID = [
     {"label": "ii", "split_global": 4, "split_local": 4, "transformer_on": False,
      "codebook_total": 64},
@@ -233,3 +278,16 @@ class TestCli:
         raw2["seed"] = 99
         b = config_from_dict(raw2)
         assert experiment_hash(a) != experiment_hash(b)
+
+    def test_train_seed_and_out_override(self, tmp_path):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(small_raw(tmp_path / "from_file", steps=2, eval_every=2)))
+        out = tmp_path / "override"
+        proc = run_cli(["train", "--config", str(cfg_path), "--seed", "7", "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        echo = json.loads((out / "config.json").read_text())
+        assert echo["seed"] == 7 and echo["dataset"]["seed"] == 7
+        assert echo["out_dir"] == str(out)
+        assert (out / "steps.csv").exists()
+        assert (out / "checkpoints" / "final" / "manifest.json").exists()
+        assert not (tmp_path / "from_file").exists()
