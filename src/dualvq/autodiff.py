@@ -11,6 +11,7 @@ values and gradients.
 Gradients accumulate into ``.grad`` on leaf tensors; calling ``backward``
 twice without zeroing in between adds the two passes together (documented
 contract; the training loop zeroes explicitly between passes).
+``backward(loss, wrt=...)`` fills only the gradients that ``wrt`` needs.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ class NonFiniteError(RuntimeError):
 
 
 _node_ids = itertools.count()
+
+# ids of the tensors a restricted backward pass fills; None outside one
+_wanted: set[int] | None = None
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -131,8 +135,13 @@ def _make(data, parents, backward_fn, op):
     return Tensor(data, requires_grad=True, op=op, _parents=tuple(parents), _backward_fn=backward_fn)
 
 
+def _wants(t: Tensor) -> bool:
+    """Whether the running backward pass fills ``t.grad``."""
+    return t.requires_grad and (_wanted is None or id(t) in _wanted)
+
+
 def _accumulate(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
+    if not _wants(t):
         return
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
@@ -164,12 +173,17 @@ def _reachable(root: Tensor):
     return out
 
 
-def backward(loss: Tensor):
+def backward(loss: Tensor, wrt=None):
     """Populate gradients of everything ``loss`` depends on.
 
     ``loss`` must be a scalar. Intermediate gradients are rebuilt from
     scratch on every call; leaf gradients accumulate across calls.
+
+    With ``wrt`` (a sequence of tensors) only nodes whose value depends on
+    one of them get a gradient. Every node adding to such a gradient depends
+    on it too and runs in full-pass order, so the bits match a full pass.
     """
+    global _wanted
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -178,11 +192,21 @@ def backward(loss: Tensor):
     for n in nodes:
         if n._parents:
             n.grad = None
-    loss.grad = np.ones_like(loss.data)
     nodes.sort(key=lambda n: n._nid, reverse=True)
-    for n in nodes:
-        if n._backward_fn is not None and n._backward_fn is not False and n.grad is not None:
-            n._backward_fn(n.grad)
+    wanted = None
+    if wrt is not None:
+        wanted = {id(t) for t in wrt}
+        for n in reversed(nodes):  # parents are inserted before their children
+            if any(id(p) in wanted for p in n._parents):
+                wanted.add(id(n))
+    loss.grad = np.ones_like(loss.data)
+    _wanted = wanted
+    try:
+        for n in nodes:
+            if n._backward_fn is not None and n._backward_fn is not False and n.grad is not None:
+                n._backward_fn(n.grad)
+    finally:
+        _wanted = None
 
 
 def first_nonfinite(root: Tensor) -> Tensor | None:
@@ -338,8 +362,10 @@ def conv2d(x, w, stride=1, pad=0) -> Tensor:
     h, ww = x.shape[2], x.shape[3]
 
     def bw(g):
-        _accumulate(x, _conv_grad_x(g, w.data, stride, pad, h, ww))
-        _accumulate(w, _conv_grad_w(x.data, g, stride, pad, kh, kw))
+        if _wants(x):
+            _accumulate(x, _conv_grad_x(g, w.data, stride, pad, h, ww))
+        if _wants(w):
+            _accumulate(w, _conv_grad_w(x.data, g, stride, pad, kh, kw))
 
     return _make(out_data, (x, w), bw, "conv2d")
 
@@ -363,8 +389,10 @@ def conv_transpose2d(x, w, stride=1, pad=0) -> Tensor:
     out_data = _conv_grad_x(x.data, w.data, stride, pad, h_out, w_out)
 
     def bw(g):
-        _accumulate(x, _conv_forward(g, w.data, stride, pad))
-        _accumulate(w, _conv_grad_w(g, x.data, stride, pad, kh, kw))
+        if _wants(x):
+            _accumulate(x, _conv_forward(g, w.data, stride, pad))
+        if _wants(w):
+            _accumulate(w, _conv_grad_w(g, x.data, stride, pad, kh, kw))
 
     return _make(out_data, (x, w), bw, "conv_transpose2d")
 

@@ -419,11 +419,12 @@ def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
     if use_gan:
         d_fake = discriminate(state, x_hat)
         last_w = state.gen_params["dec.out.w"]
+        # the probes only need the last layer's gradient
         state.zero_grads()
-        backward(l1_loss(x, x_hat))
+        backward(l1_loss(x, x_hat), wrt=[last_w])
         rec_norm = _grad_norm(last_w)
         state.zero_grads()
-        backward(_gen_gan_term(d_fake, cfg.gan_loss))
+        backward(_gen_gan_term(d_fake, cfg.gan_loss), wrt=[last_w])
         gan_norm = _grad_norm(last_w)
         lam = adaptive_lambda(rec_norm, gan_norm, LAMBDA_DELTA, cfg.lambda_max)
 

@@ -411,6 +411,27 @@ class TestBackward:
         assert np.array_equal(gx1, gx2)
         assert np.array_equal(gw1, gw2)
 
+    def test_restricted_pass_matches_full_pass(self):
+        rng = np.random.default_rng(22)
+        leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in ((2, 3, 8, 8), (4, 3, 4, 4), (2, 3, 3, 3), (128, 5))]
+
+        def loss_of(x, w1, w2, m):
+            h = relu(conv2d(x, w1, stride=2, pad=1))
+            up = conv_transpose2d(h, w1, stride=2, pad=1)  # w1 feeds two nodes
+            g = conv2d(up + x, w2, stride=1, pad=1).reshape((2, 128))
+            return mse_loss(matmul(g, m), Tensor(np.zeros((2, 5))))
+
+        backward(loss_of(*leaves))
+        full = [leaf.grad.copy() for leaf in leaves]
+        for target in range(len(leaves)):
+            for leaf in leaves:
+                leaf.grad = None
+            backward(loss_of(*leaves), wrt=[leaves[target]])
+            assert np.array_equal(leaves[target].grad, full[target])
+            assert all(leaf.grad is None for i, leaf in enumerate(leaves) if i != target)
+        assert ad._wanted is None
+
 
 class TestStructural:
     def test_narrow_concat_roundtrip(self):

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from dualvq.autodiff import NonFiniteError, ShapeError, Tensor
+from dualvq.autodiff import NonFiniteError, ShapeError, Tensor, backward, l1_loss
 from dualvq.checkpoint import load_checkpoint, save_checkpoint
 from dualvq.data import batch_indices, synth_dataset
 from dualvq.model import (
@@ -11,6 +11,7 @@ from dualvq.model import (
     LAMBDA_DELTA,
     ModelState,
     TrainConfig,
+    _gen_gan_term,
     adaptive_lambda,
     decode,
     discriminate,
@@ -209,6 +210,23 @@ class TestTrainingStep:
         training_step(state, data[batch_indices(7, 8, cfg.batch, 0)])
         assert any(not np.array_equal(gen_before[k], v.data) for k, v in state.gen_params.items())
         assert any(not np.array_equal(disc_before[k], v.data) for k, v in state.disc_params.items())
+
+    def test_lambda_probes_match_full_backward(self):
+        # the probes restrict backward to dec.out.w; a full pass gives the same bits
+        state = init_model(desk_config(seed=9, disc_start_step=0))
+        x = Tensor(tiny_batch(seed=9))
+        z_q, _ = quantize_latents(state, encode(state, x))
+        x_hat = decode(state, z_q)
+        d_fake = discriminate(state, x_hat)
+        last_w = state.gen_params["dec.out.w"]
+        for loss_of in (lambda: l1_loss(x, x_hat), lambda: _gen_gan_term(d_fake, "hinge")):
+            state.zero_grads()
+            backward(loss_of())
+            full = last_w.grad.copy()
+            state.zero_grads()
+            backward(loss_of(), wrt=[last_w])
+            assert np.array_equal(last_w.grad, full)
+            assert all(p.grad is None for name, p in state.all_params() if p is not last_w)
 
     def test_lambda_positive_after_start(self):
         cfg = desk_config(seed=8, disc_start_step=0)
