@@ -306,8 +306,10 @@ def _conv_extent(extent, k, stride, pad, what):
     return span // stride + 1
 
 
-def _im2col(xp, kh, kw, stride, oh, ow):
-    b, c = xp.shape[0], xp.shape[1]
+def _im2col(x, kh, kw, stride, pad, oh, ow):
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
     cols = np.empty((b, c, kh, kw, oh, ow), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
@@ -320,8 +322,7 @@ def _conv_forward(x, w, stride, pad):
     o, _, kh, kw = w.shape
     oh = _conv_extent(h, kh, stride, pad, "height")
     ow = _conv_extent(ww, kw, stride, pad, "width")
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
+    cols = _im2col(x, kh, kw, stride, pad, oh, ow)
     out = np.matmul(w.reshape(o, -1), cols)
     return out.reshape(b, o, oh, ow)
 
@@ -330,8 +331,7 @@ def _conv_grad_w(x, g, stride, pad, kh, kw):
     b = x.shape[0]
     o = g.shape[1]
     oh, ow = g.shape[2], g.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
+    cols = _im2col(x, kh, kw, stride, pad, oh, ow)
     m = oh * ow
     gw = np.matmul(g.reshape(b, o, m), cols.swapaxes(1, 2)).sum(axis=0)
     return gw.reshape(o, x.shape[1], kh, kw)

@@ -1,13 +1,14 @@
 """Checkpoint directories and the step-metrics CSV.
 
-A checkpoint is a directory: ``tensors/`` holds one binary dump per
-parameter and per Adam moment, and ``manifest.json`` (written last, so a
-manifest implies a complete checkpoint) carries the config echo, step,
-seed, optimizer counters, and usage counters. Quantizer tensors keep
-their state keys (``global_cb``, ``local_cb``, ``tf.layer{i}.*``); usage
-counters are stored under the names the quantizer's ``codebooks()`` gives
-(``global`` and ``local``, or ``global`` alone for the single-codebook
-baseline).
+A checkpoint is a directory holding the one file ``CHECKPOINT_FILE``: a
+manifest line of compact sorted JSON (config echo, step, seed, optimizer
+and usage counters, and ``tensors``, the list of tensor keys), then one
+``tensor_io`` dump per key in that order, ending exactly after the last.
+State keys (``global_cb``, ``tf.layer{i}.*``, ...) are kept; Adam moments
+are ``adam_m.<key>``/``adam_v.<key>``; usage counters are stored under the
+names ``codebooks()`` gives. One ``atomic_write_bytes`` renames the whole
+file into place, so an interrupted save leaves the previous checkpoint
+intact, never a mix of old and new tensors.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from . import tensor_io
 from .model import ModelState, TrainConfig, init_model
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+CHECKPOINT_FILE = "checkpoint.dvq"
 
 
 def _counts_blob(cb):
@@ -41,17 +43,10 @@ def _restore_counts(cb, blob):
 
 def save_checkpoint(state: ModelState, dirpath: str, experiment: dict | None = None,
                     experiment_hash: str | None = None):
-    os.makedirs(os.path.join(dirpath, "tensors"), exist_ok=True)
-    index = []
-    for name, p in state.all_params():
-        fname = f"{name}.dvqt"
-        tensor_io.save_array(os.path.join(dirpath, "tensors", fname), p.data)
-        index.append({"key": name, "file": fname})
-    for name in list(state.adam_m):
-        for prefix, table in (("adam_m", state.adam_m), ("adam_v", state.adam_v)):
-            fname = f"{prefix}.{name}.dvqt"
-            tensor_io.save_array(os.path.join(dirpath, "tensors", fname), table[name])
-            index.append({"key": f"{prefix}.{name}", "file": fname})
+    tensors = {name: p.data for name, p in state.all_params()}
+    for name in state.adam_m:
+        tensors[f"adam_m.{name}"] = state.adam_m[name]
+        tensors[f"adam_v.{name}"] = state.adam_v[name]
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -61,21 +56,26 @@ def save_checkpoint(state: ModelState, dirpath: str, experiment: dict | None = N
         "adam_t_gen": state.adam_t_gen,
         "adam_t_disc": state.adam_t_disc,
         "counts": {name: _counts_blob(cb) for name, cb in state.quantizer.codebooks().items()},
-        "tensors": index,
+        "tensors": list(tensors),
     }
     if experiment is not None:
         manifest["experiment"] = experiment
     if experiment_hash is not None:
         manifest["experiment_hash"] = experiment_hash
-    tensor_io.atomic_write_bytes(
-        os.path.join(dirpath, "manifest.json"),
-        json.dumps(manifest, indent=1, sort_keys=True).encode(),
-    )
+    parts = [json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode(), b"\n"]
+    parts += [tensor_io.array_to_bytes(arr) for arr in tensors.values()]
+    os.makedirs(dirpath, exist_ok=True)
+    tensor_io.atomic_write_bytes(os.path.join(dirpath, CHECKPOINT_FILE), b"".join(parts))
 
 
 def load_checkpoint(dirpath: str) -> tuple[ModelState, dict]:
-    with open(os.path.join(dirpath, "manifest.json"), "rb") as f:
-        manifest = json.loads(f.read())
+    path = os.path.join(dirpath, CHECKPOINT_FILE)
+    with open(path, "rb") as f:
+        blob = f.read()
+    newline = blob.find(b"\n")
+    if newline < 0:
+        raise ValueError(f"{path}: checkpoint is cut inside its manifest line")
+    manifest = json.loads(blob[:newline])
     if manifest["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format {manifest['format_version']}")
     config = TrainConfig.from_dict(manifest["config"])
@@ -86,12 +86,16 @@ def load_checkpoint(dirpath: str) -> tuple[ModelState, dict]:
 
     params = dict(state.all_params())
     expected = set(params) | {f"adam_m.{k}" for k in params} | {f"adam_v.{k}" for k in params}
-    seen = set()
-    for entry in manifest["tensors"]:
-        key = entry["key"]
-        if key not in expected:
-            raise ValueError(f"checkpoint tensor {key!r} does not match the config's model")
-        arr = tensor_io.load_array(os.path.join(dirpath, "tensors", entry["file"]))
+    keys = set(manifest["tensors"])
+    if keys != expected:
+        raise ValueError(f"checkpoint tensors do not match the config's model: unknown "
+                         f"{sorted(keys - expected)[:5]}, missing {sorted(expected - keys)[:5]}")
+    pos = newline + 1
+    for key in manifest["tensors"]:
+        try:
+            arr, pos = tensor_io.bytes_to_array(blob, pos)
+        except ValueError as e:
+            raise ValueError(f"{path}: tensor {key!r}: {e}") from None
         if key.startswith("adam_m."):
             state.adam_m[key[len("adam_m."):]] = arr
         elif key.startswith("adam_v."):
@@ -101,10 +105,8 @@ def load_checkpoint(dirpath: str) -> tuple[ModelState, dict]:
                 raise ValueError(f"checkpoint tensor {key!r} has shape {arr.shape}, "
                                  f"expected {params[key].data.shape}")
             params[key].data = arr
-        seen.add(key)
-    missing = expected - seen
-    if missing:
-        raise ValueError(f"checkpoint is missing tensors: {sorted(missing)[:5]}")
+    if pos != len(blob):
+        raise ValueError(f"{path}: {len(blob) - pos} bytes after the last tensor dump")
 
     for name, cb in state.quantizer.codebooks().items():
         _restore_counts(cb, manifest["counts"][name])

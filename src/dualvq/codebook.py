@@ -153,8 +153,8 @@ def dump_codebook(cb: Codebook, path: str):
 def load_codebook(path: str) -> Codebook:
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:4] != CODEBOOK_MAGIC:
-        raise ValueError(f"bad codebook dump magic {blob[:4]!r}")
+    if len(blob) < 12 or blob[:4] != CODEBOOK_MAGIC:
+        raise ValueError(f"{path}: bad or cut 12-byte codebook dump header {blob[:12]!r}")
     k, d = struct.unpack_from("<II", blob, 4)
     entries, pos = tensor_io.bytes_to_array(blob, 12)
     if len(blob) != pos + 8 * k:

@@ -401,6 +401,13 @@ def _grad_norm(p: Tensor) -> float:
     return float(np.sqrt((p.grad * p.grad).sum()))
 
 
+def _check_finite(loss: Tensor, step: int, what: str):
+    if not np.isfinite(loss.data).all():
+        bad = first_nonfinite(loss)
+        raise NonFiniteError(f"step {step}: non-finite {what}; first non-finite node is "
+                             f"op={bad.op!r} (insertion id {bad._nid})")
+
+
 def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
     """One alternating update. Generator (encoder, decoder, codebooks,
     transformer) always steps; the discriminator joins from
@@ -429,15 +436,9 @@ def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
         lam = adaptive_lambda(rec_norm, gan_norm, LAMBDA_DELTA, cfg.lambda_max)
 
     losses = generator_losses(x, x_hat, d_fake, lam, quant, cfg.disc_weight, cfg.gan_loss)
-    total = losses.total
-    if not np.isfinite(total.data).all():
-        bad = first_nonfinite(total)
-        raise NonFiniteError(
-            f"step {state.step}: non-finite loss; first non-finite node is "
-            f"op={bad.op!r} (insertion id {bad._nid})"
-        )
+    _check_finite(losses.total, state.step, "loss")
     state.zero_grads()
-    backward(total)
+    backward(losses.total)
     state.adam_t_gen = _adam_group(state, state.gen_params, state.adam_t_gen)
 
     d_loss_val = 0.0
@@ -445,12 +446,7 @@ def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
         d_real = discriminate(state, x)
         d_fake_det = discriminate(state, stop_gradient(x_hat))
         d_loss = discriminator_loss(d_real, d_fake_det, cfg.gan_loss)
-        if not np.isfinite(d_loss.data).all():
-            bad = first_nonfinite(d_loss)
-            raise NonFiniteError(
-                f"step {state.step}: non-finite discriminator loss; first non-finite "
-                f"node is op={bad.op!r} (insertion id {bad._nid})"
-            )
+        _check_finite(d_loss, state.step, "discriminator loss")
         state.zero_grads()
         backward(d_loss)
         state.adam_t_disc = _adam_group(state, state.disc_params, state.adam_t_disc)
@@ -470,10 +466,12 @@ def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
                       perplexity_l=perp_l, active_g=act_g, active_l=act_l)
 
 
+def quantize_images(state: ModelState, batch: np.ndarray) -> tuple[Tensor, list]:
+    """Encode and quantize without usage updates; returns (z_q, results)."""
+    return quantize_latents(state, encode(state, Tensor(batch)), update_usage=False)
+
+
 def reconstruct(state: ModelState, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Forward pass without usage updates; returns (x_hat, z_q, results)."""
-    x = Tensor(batch)
-    z = encode(state, x)
-    z_q, results = quantize_latents(state, z, update_usage=False)
-    x_hat = decode(state, z_q)
-    return x_hat.data, z_q.data, results
+    z_q, results = quantize_images(state, batch)
+    return decode(state, z_q).data, z_q.data, results

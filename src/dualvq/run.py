@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_io
-from .checkpoint import CsvLog, load_checkpoint, read_rows, save_checkpoint, truncate_to_step
+from .checkpoint import (CHECKPOINT_FILE, CsvLog, format_cell, load_checkpoint, read_rows,
+                         save_checkpoint, truncate_to_step)
 from .codebook import dump_codebook, usage_stats
-from .config import ConfigError, ExperimentConfig, apply_grid_entry, experiment_hash, write_echo
+from .config import (ConfigError, ExperimentConfig, apply_grid_entry, config_from_dict,
+                      experiment_hash, write_echo)
 from .data import batch_indices, build_dataset, epoch_of_step, split_dataset
 from .metrics import (
     UtilizationReport,
@@ -31,7 +33,7 @@ from .metrics import (
     sanitize_for_json,
     series_from_codebook,
 )
-from .model import ModelState, StepReport, init_model, reconstruct, training_step
+from .model import ModelState, StepReport, init_model, quantize_images, reconstruct, training_step
 
 EVAL_COLUMNS = ("step", "psnr", "l1", "l2", "fid_star")
 ABLATION_COLUMNS = ("label", "global", "local", "codebook_total", "fid_star", "psnr", "l1", "l2")
@@ -88,7 +90,9 @@ def evaluate_state(state: ModelState, images: np.ndarray, fid_features: str = "l
         feats_recon = _pixel_features(recon)
     else:
         feats_real = latents
-        feats_recon = _reconstruct_all(state, recon)[1]
+        # the reconstructions' latents need no decoder pass
+        feats_recon = np.concatenate([quantize_images(state, recon[lo:hi])[0].data.reshape(hi - lo, -1)
+                                      for lo, hi in _chunks(recon.shape[0], _EVAL_CHUNK)])
     fid = frechet_gaussian(*gaussian_stats(feats_real), *gaussian_stats(feats_recon))
     return {
         "step": state.step,
@@ -180,7 +184,7 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
         eval_csv.close()
 
     save_checkpoint(state, final_dir, experiment=cfg.to_dict(), experiment_hash=exp_hash)
-    if not os.path.exists(os.path.join(best_dir, "manifest.json")):
+    if not os.path.exists(os.path.join(best_dir, CHECKPOINT_FILE)):
         save_checkpoint(state, best_dir, experiment=cfg.to_dict(), experiment_hash=exp_hash)
     report = _utilization_report(state, exp_hash)
     util_json, util_csv = emit_utilization(report, os.path.join(out_dir, "utilization"))
@@ -221,8 +225,6 @@ def run_eval(checkpoint: str, split: str = "val", out_path: str | None = None,
 
 def _grid_worker(payload: tuple) -> tuple:
     raw, label, run_dir = payload
-    from .config import config_from_dict
-
     cfg = config_from_dict(raw)
     cfg.out_dir = run_dir
     result = run_train(cfg)
@@ -265,8 +267,6 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> str:
         rows = [_grid_worker(p) for p in payloads]
 
     path = os.path.join(out_dir, "ablation.csv")
-    from .checkpoint import format_cell
-
     lines = [",".join(ABLATION_COLUMNS)]
     for row in rows:
         cells = [str(row[0]), str(row[1]), str(row[2])] + [format_cell(v) for v in row[3:]]

@@ -489,15 +489,22 @@ class TestFiniteAndDump:
         node = ad.first_nonfinite(z)
         assert node is y
 
-    def test_dump_roundtrip(self, tmp_path):
+    def test_dump_roundtrip(self):
         arr = np.random.default_rng(22).normal(size=(3, 4, 5))
-        path = str(tmp_path / "t.dvqt")
-        tensor_io.save_array(path, arr)
-        back = tensor_io.load_array(path)
+        blob = tensor_io.array_to_bytes(arr)
+        back, end = tensor_io.bytes_to_array(blob)
+        assert end == len(blob)
         assert back.shape == arr.shape
         assert np.array_equal(back, arr)
 
-    def test_dump_scalar(self, tmp_path):
-        path = str(tmp_path / "s.dvqt")
-        tensor_io.save_array(path, np.array(3.5))
-        assert tensor_io.load_array(path) == 3.5
+    def test_dump_scalar(self):
+        blob = tensor_io.array_to_bytes(np.array(3.5))
+        back, end = tensor_io.bytes_to_array(blob)
+        assert end == len(blob)
+        assert back == 3.5
+
+    def test_every_cut_dump_rejected(self):
+        blob = tensor_io.array_to_bytes(np.arange(6.0).reshape(2, 3))
+        for n in range(len(blob)):
+            with pytest.raises(ValueError, match="tensor dump"):
+                tensor_io.bytes_to_array(blob[:n])

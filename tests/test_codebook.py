@@ -258,3 +258,13 @@ class TestDump:
             path.write_bytes(bad)
             with pytest.raises(ValueError, match="codebook dump"):
                 load_codebook(str(path))
+
+    def test_cut_header_rejected_with_path(self, tmp_path):
+        cb = make_cb(np.random.default_rng(44).normal(size=(4, 3)))
+        path = tmp_path / "cb.dvqc"
+        dump_codebook(cb, str(path))
+        blob = path.read_bytes()
+        for n in range(12):
+            path.write_bytes(blob[:n])
+            with pytest.raises(ValueError, match="cb.dvqc"):
+                load_codebook(str(path))

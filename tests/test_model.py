@@ -1,10 +1,12 @@
 import copy
+import os
+import re
 
 import numpy as np
 import pytest
 
 from dualvq.autodiff import NonFiniteError, ShapeError, Tensor, backward, l1_loss
-from dualvq.checkpoint import load_checkpoint, save_checkpoint
+from dualvq.checkpoint import CHECKPOINT_FILE, load_checkpoint, save_checkpoint
 from dualvq.data import batch_indices, synth_dataset
 from dualvq.model import (
     ADAM_EPS,
@@ -304,15 +306,24 @@ class TestCheckpointRoundTrip:
         other = desk_config(seed=18, latent_channels=6, split_global=3, split_local=3,
                             tf_heads=3)
         import json
-        import os
-        mpath = str(tmp_path / "ck" / "manifest.json")
-        with open(mpath) as f:
-            manifest = json.load(f)
+        path = tmp_path / "ck" / CHECKPOINT_FILE
+        line, _, dumps = path.read_bytes().partition(b"\n")
+        manifest = json.loads(line)
         manifest["config"] = other.to_dict()
-        with open(mpath, "w") as f:
-            json.dump(manifest, f)
+        path.write_bytes(json.dumps(manifest, sort_keys=True).encode() + b"\n" + dumps)
         with pytest.raises(ValueError):
             load_checkpoint(str(tmp_path / "ck"))
+
+    def test_one_file_cut_or_padded_rejected_with_path(self, tmp_path):
+        state, _ = run_steps(desk_config(seed=18), 1)
+        save_checkpoint(state, str(tmp_path / "ck"))
+        assert os.listdir(tmp_path / "ck") == [CHECKPOINT_FILE]
+        path = tmp_path / "ck" / CHECKPOINT_FILE
+        blob = path.read_bytes()
+        for bad in (blob[:-8], blob[:blob.index(b"\n")], blob + b"\0" * 8):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_checkpoint(str(tmp_path / "ck"))
 
 
 class TestDegenerateTransformerTraining:

@@ -6,11 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from dualvq import tensor_io
-from dualvq.checkpoint import load_checkpoint, read_rows
+from dualvq.checkpoint import CHECKPOINT_FILE, load_checkpoint, read_rows, save_checkpoint
 from dualvq.codebook import load_codebook
 from dualvq.config import ConfigError, config_from_dict, experiment_hash
+from dualvq.data import batch_indices, build_dataset, split_dataset
 from dualvq.metrics import load_utilization
+from dualvq.model import training_step
 from dualvq.run import export_codebook, run_ablation, run_eval, run_train
 
 
@@ -28,6 +29,22 @@ def small_raw(out_dir, **overrides):
     return raw
 
 
+def assert_states_identical(a, b):
+    assert (a.step, a.adam_t_gen, a.adam_t_disc) == (b.step, b.adam_t_gen, b.adam_t_disc)
+    for (ka, pa), (kb, pb) in zip(a.all_params(), b.all_params(), strict=True):
+        assert ka == kb
+        assert pa.data.tobytes() == pb.data.tobytes(), ka
+    for k in b.adam_m:
+        assert a.adam_m[k].tobytes() == b.adam_m[k].tobytes(), k
+        assert a.adam_v[k].tobytes() == b.adam_v[k].tobytes(), k
+    for (na, ca), (nb, cb) in zip(a.quantizer.codebooks().items(),
+                                  b.quantizer.codebooks().items(), strict=True):
+        assert na == nb
+        assert np.array_equal(ca.counts, cb.counts)
+        assert np.array_equal(ca.window_counts, cb.window_counts)
+        assert (ca.total_assignments, ca.window_total) == (cb.total_assignments, cb.window_total)
+
+
 class TestRunTrain:
     def test_artifacts_and_eval_consistency(self, tmp_path):
         cfg = config_from_dict(small_raw(tmp_path / "run"))
@@ -35,8 +52,8 @@ class TestRunTrain:
         assert os.path.exists(result.steps_csv)
         assert os.path.exists(result.eval_csv)
         assert os.path.exists(os.path.join(result.out_dir, "config.json"))
-        assert os.path.exists(os.path.join(result.final_checkpoint, "manifest.json"))
-        assert os.path.exists(os.path.join(result.best_checkpoint, "manifest.json"))
+        assert os.path.exists(os.path.join(result.final_checkpoint, CHECKPOINT_FILE))
+        assert os.path.exists(os.path.join(result.best_checkpoint, CHECKPOINT_FILE))
         assert os.path.exists(result.utilization_json)
         assert os.path.exists(result.utilization_csv)
 
@@ -78,6 +95,51 @@ class TestRunTrain:
         full_eval = open(os.path.join(tmp_path, "full", "eval.csv")).read()
         part_eval = open(os.path.join(tmp_path, "part", "eval.csv")).read()
         assert full_eval == part_eval
+
+    def test_torn_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A save that fails at any of its renames leaves the step-A checkpoint
+        whole, and resuming from it reproduces an uninterrupted run."""
+        run_train(config_from_dict(small_raw(tmp_path / "full", steps=16)))
+        cfg = config_from_dict(small_raw(tmp_path / "part", steps=16))
+        last = os.path.join(run_train(cfg, stop_after=8).out_dir, "checkpoints", "last")
+        saved, manifest = load_checkpoint(last)
+
+        # train on from step A = 8 to step B = 10
+        state, _ = load_checkpoint(last)
+        train_set = split_dataset(build_dataset(cfg.dataset, cfg.train.image_size))[0]
+        for step in (8, 9):
+            training_step(state, train_set[batch_indices(cfg.train.seed, train_set.shape[0],
+                                                         cfg.train.batch, step)])
+
+        # count the renames of a whole save, then fail each save at one of them
+        real_replace = os.replace
+        calls = []
+        fail_at = 0
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == fail_at:
+                raise OSError("simulated crash")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        save_checkpoint(state, str(tmp_path / "probe"))
+        renames = len(calls)
+        for fail_at in sorted({1, (renames + 1) // 2, renames}):
+            calls.clear()
+            with pytest.raises(OSError, match="simulated crash"):
+                save_checkpoint(state, last, experiment=manifest["experiment"],
+                                experiment_hash=manifest["experiment_hash"])
+            assert os.listdir(last) == [CHECKPOINT_FILE]
+            loaded, _ = load_checkpoint(last)
+            assert_states_identical(loaded, saved)
+        monkeypatch.undo()
+
+        run_train(config_from_dict(small_raw(tmp_path / "part", steps=16)), resume=last)
+        for name in ("steps.csv", "eval.csv"):
+            with open(tmp_path / "full" / name, "rb") as full, \
+                    open(tmp_path / "part" / name, "rb") as resumed:
+                assert full.read() == resumed.read()
 
     def test_resume_hash_mismatch_refused(self, tmp_path):
         cfg = config_from_dict(small_raw(tmp_path / "r1"))
@@ -258,13 +320,11 @@ class TestCli:
         cfg_path.write_text(json.dumps(raw))
         assert run_cli(["train", "--config", str(cfg_path)]).returncode == 0
         ckpt = str(tmp_path / "run" / "checkpoints" / "final")
-        # corrupt one parameter dump, then resume: training must abort with code 3
-        victim = os.path.join(ckpt, "tensors", "enc.down0.w.dvqt")
-        arr = tensor_io.load_array(victim)
-        arr[0, 0, 0, 0] = np.nan
-        blob = tensor_io.array_to_bytes(arr)
-        with open(victim, "wb") as f:
-            f.write(blob)
+        # corrupt one parameter, then resume: training must abort with code 3
+        state, manifest = load_checkpoint(ckpt)
+        state.gen_params["enc.down0.w"].data[0, 0, 0, 0] = np.nan
+        save_checkpoint(state, ckpt, experiment=manifest["experiment"],
+                        experiment_hash=manifest["experiment_hash"])
         raw["steps"] = 8
         cfg_path.write_text(json.dumps(raw))
         proc = run_cli(["train", "--config", str(cfg_path), "--resume", ckpt, "--force"])
@@ -289,5 +349,5 @@ class TestCli:
         assert echo["seed"] == 7 and echo["dataset"]["seed"] == 7
         assert echo["out_dir"] == str(out)
         assert (out / "steps.csv").exists()
-        assert (out / "checkpoints" / "final" / "manifest.json").exists()
+        assert (out / "checkpoints" / "final" / CHECKPOINT_FILE).exists()
         assert not (tmp_path / "from_file").exists()
