@@ -1,14 +1,15 @@
 """Checkpoint directories and the step-metrics CSV.
 
 A checkpoint is a directory holding the one file ``CHECKPOINT_FILE``: a
-manifest line of compact sorted JSON (config echo, step, seed, optimizer
-and usage counters, and ``tensors``, the list of tensor keys), then one
-``tensor_io`` dump per key in that order, ending exactly after the last.
-State keys (``global_cb``, ``tf.layer{i}.*``, ...) are kept; Adam moments
-are ``adam_m.<key>``/``adam_v.<key>``; usage counters are stored under the
-names ``codebooks()`` gives. One ``atomic_write_bytes`` renames the whole
-file into place, so an interrupted save leaves the previous checkpoint
-intact, never a mix of old and new tensors.
+manifest line of compact sorted JSON (format version, config echo with
+the seed, step, optimizer and usage counters, and ``tensors``, the list of
+tensor keys), then one ``tensor_io`` dump per key in that order, ending
+exactly after the last. State keys (``global_cb``, ``tf.layer{i}.*``, ...)
+are kept; Adam moments are ``adam_m.<key>``/``adam_v.<key>``; usage
+counters are stored under the names ``codebooks()`` gives. One
+``atomic_write_bytes`` renames the whole file into place, so an
+interrupted save leaves the previous checkpoint intact, never a mix of old
+and new tensors.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import numpy as np
 from . import tensor_io
 from .model import ModelState, TrainConfig, init_model
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 CHECKPOINT_FILE = "checkpoint.dvq"
+_MANIFEST_KEYS = {"step", "config", "adam_t_gen", "adam_t_disc", "counts", "tensors"}
 
 
 def _counts_blob(cb):
@@ -51,7 +53,6 @@ def save_checkpoint(state: ModelState, dirpath: str, experiment: dict | None = N
     manifest = {
         "format_version": FORMAT_VERSION,
         "step": state.step,
-        "root_seed": state.config.seed,
         "config": state.config.to_dict(),
         "adam_t_gen": state.adam_t_gen,
         "adam_t_disc": state.adam_t_disc,
@@ -75,9 +76,16 @@ def load_checkpoint(dirpath: str) -> tuple[ModelState, dict]:
     newline = blob.find(b"\n")
     if newline < 0:
         raise ValueError(f"{path}: checkpoint is cut inside its manifest line")
-    manifest = json.loads(blob[:newline])
-    if manifest["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format {manifest['format_version']}")
+    try:
+        manifest = json.loads(blob[:newline])
+    except ValueError as e:
+        raise ValueError(f"{path}: manifest line is not JSON: {e}") from None
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint format {version}, expected {FORMAT_VERSION}")
+    missing = _MANIFEST_KEYS - set(manifest)
+    if missing:
+        raise ValueError(f"{path}: manifest lacks {sorted(missing)}")
     config = TrainConfig.from_dict(manifest["config"])
     state = init_model(config)
     state.step = int(manifest["step"])

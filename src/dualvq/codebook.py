@@ -125,18 +125,16 @@ def quantize_st(features: Tensor, cb: Codebook, beta: float = 0.25,
                               commitment_term=commitment_term)
 
 
-def usage_stats(cb: Codebook, window: bool = False) -> tuple[float, float]:
-    """(perplexity, active_fraction) of the assignment histogram.
+def usage_stats(cb: Codebook) -> tuple[float, float]:
+    """(perplexity, active_fraction) of the cumulative assignment histogram.
 
     Perplexity is exp of the assignment entropy (0 when nothing was
     assigned); active_fraction is the share of entries used at least once.
     """
-    counts = cb.window_counts if window else cb.counts
-    total = cb.window_total if window else cb.total_assignments
-    active = float(np.count_nonzero(counts)) / cb.n_entries
-    if total == 0:
+    active = float(np.count_nonzero(cb.counts)) / cb.n_entries
+    if cb.total_assignments == 0:
         return 0.0, active
-    p = counts.astype(np.float64) / total
+    p = cb.counts.astype(np.float64) / cb.total_assignments
     nz = p[p > 0]
     entropy = -(nz * np.log(nz)).sum()
     return float(np.exp(entropy)), active

@@ -45,7 +45,6 @@ class ExperimentConfig:
     eval_every: int = 100
     out_dir: str | None = None
     grid: list = field(default_factory=list)
-    fid_features: str = "latent"            # or "pixels"
 
     def to_dict(self) -> dict:
         out = self.train.to_dict()
@@ -53,12 +52,11 @@ class ExperimentConfig:
         out["eval_every"] = self.eval_every
         out["out_dir"] = self.out_dir
         out["grid"] = [g.to_dict() for g in self.grid]
-        out["fid_features"] = self.fid_features
         return out
 
 
 _TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
-_TOP_FIELDS = {"dataset", "eval_every", "out_dir", "grid", "fid_features"}
+_TOP_FIELDS = {"dataset", "eval_every", "out_dir", "grid"}
 _DATASET_FIELDS = {"kind", "seed", "n", "size", "path"}
 _GRID_FIELDS = {"split_global", "split_local", "transformer_on", "codebook_total", "label"}
 
@@ -108,12 +106,9 @@ def _fill_defaults(raw: dict) -> ExperimentConfig:
 
     cfg = ExperimentConfig(train=train, dataset=dataset,
                            eval_every=int(raw.get("eval_every", 100)),
-                           out_dir=raw.get("out_dir"), grid=grid,
-                           fid_features=raw.get("fid_features", "latent"))
+                           out_dir=raw.get("out_dir"), grid=grid)
     if cfg.eval_every < 1:
         raise ConfigError(f"eval_every must be positive, got {cfg.eval_every}")
-    if cfg.fid_features not in ("latent", "pixels"):
-        raise ConfigError(f"fid_features must be 'latent' or 'pixels', got {cfg.fid_features!r}")
     try:
         train.validate()
     except ValueError as e:

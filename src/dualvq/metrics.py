@@ -1,11 +1,10 @@
 """Reconstruction metrics, codebook-utilization reporting, and a
 closed-form Gaussian Fréchet distance.
 
-The Fréchet distance here acts on pluggable feature sets (latents or
-downsampled pixels); it is NOT Inception-FID and its values are not
-comparable to Inception-based numbers. Images are assumed to live in
-[0, 1]; PSNR uses peak 1.0 and returns +inf for identical inputs
-(serialized as the string "inf").
+The Fréchet distance here acts on the model's quantized latents; it is
+NOT Inception-FID and its values are not comparable to Inception-based
+numbers. Images are assumed to live in [0, 1]; PSNR uses peak 1.0 and
+returns +inf for identical inputs (serialized as the string "inf").
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from .autodiff import (
     relu,
     sigmoid,
     softplus,
-    stop_gradient,
 )
 from .codebook import Codebook, usage_stats
 from .dual_quantizer import (
@@ -46,6 +45,7 @@ from .dual_quantizer import (
 from .rng import component_rng
 from .transformer import TransformerConfig
 
+ADAM_BETAS = (0.5, 0.9)
 ADAM_EPS = 1e-8
 LAMBDA_DELTA = 1e-6
 
@@ -66,32 +66,26 @@ class TrainConfig:
     beta: float = 0.25
     lambda_max: float = 1e4
     gan_loss: str = "hinge"                 # or "bce"
-    adam_beta1: float = 0.5
-    adam_beta2: float = 0.9
     image_size: int = 32
     enc_channels: tuple = (24, 48)          # downsample factor = 2 ** len
     disc_channels: tuple = (16, 32)
     latent_channels: int = 8
     quantizer_mode: str = "dual"            # or "single"
-    codebook_total: int = 64
-    codebook_global: int | None = None      # default: total // 2
-    codebook_local: int | None = None
+    codebook_total: int = 64                # split total // 2 global, the rest local
     split_global: int = 4
     split_local: int = 4
     transformer_on: bool = True
     tf_layers: int = 2
     tf_heads: int = 2
     tf_ff_dim: int = 64
-    tf_positional: bool = False
     tf_zero_residual: bool = False
 
     def downsample_factor(self) -> int:
         return 2 ** len(self.enc_channels)
 
     def resolved_codebooks(self) -> tuple[int, int]:
-        kg = self.codebook_global if self.codebook_global is not None else self.codebook_total // 2
-        kl = self.codebook_local if self.codebook_local is not None else self.codebook_total - kg
-        return kg, kl
+        kg = self.codebook_total // 2
+        return kg, self.codebook_total - kg
 
     def validate(self):
         for name in ("steps", "batch", "image_size", "latent_channels", "codebook_total",
@@ -118,12 +112,7 @@ class TrainConfig:
                 )
             if self.split_global < 1 or self.split_local < 1:
                 raise ValueError("both split widths must be at least 1")
-            kg, kl = self.resolved_codebooks()
-            if kg + kl != self.codebook_total:
-                raise ValueError(
-                    f"codebook_global {kg} + codebook_local {kl} != codebook_total {self.codebook_total}"
-                )
-            if kg < 1 or kl < 1:
+            if self.codebook_total < 2:
                 raise ValueError("both codebooks need at least one entry")
             if self.transformer_on and self.split_global % self.tf_heads != 0:
                 raise ValueError(
@@ -247,8 +236,7 @@ def init_model(config: TrainConfig) -> ModelState:
     if config.quantizer_mode == "dual":
         kg, kl = config.resolved_codebooks()
         tf_cfg = TransformerConfig(layers=config.tf_layers, heads=config.tf_heads,
-                                   ff_dim=config.tf_ff_dim, embed_dim=config.split_global,
-                                   learned_positions=config.tf_positional)
+                                   ff_dim=config.tf_ff_dim, embed_dim=config.split_global)
         state.quantizer = make_dual_state(
             config.split_global, config.split_local, kg, kl, config.beta,
             config.transformer_on, tf_cfg,
@@ -380,7 +368,7 @@ def discriminator_loss(d_real: Tensor, d_fake: Tensor, gan_loss: str = "hinge") 
 def _adam_group(state: ModelState, params: dict[str, Tensor], t: int) -> int:
     cfg = state.config
     t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETAS
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for name, p in params.items():
@@ -443,12 +431,13 @@ def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
 
     d_loss_val = 0.0
     if use_gan:
+        # d_fake is reused: restricting backward to the discriminator keeps
+        # the generator graph behind it out of this update
         d_real = discriminate(state, x)
-        d_fake_det = discriminate(state, stop_gradient(x_hat))
-        d_loss = discriminator_loss(d_real, d_fake_det, cfg.gan_loss)
+        d_loss = discriminator_loss(d_real, d_fake, cfg.gan_loss)
         _check_finite(d_loss, state.step, "discriminator loss")
         state.zero_grads()
-        backward(d_loss)
+        backward(d_loss, wrt=list(state.disc_params.values()))
         state.adam_t_disc = _adam_group(state, state.disc_params, state.adam_t_disc)
         d_loss_val = d_loss.item()
 

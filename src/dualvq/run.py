@@ -68,32 +68,21 @@ def _reconstruct_all(state: ModelState, images: np.ndarray) -> tuple[np.ndarray,
     return out, np.concatenate(rows, axis=0)
 
 
-def _pixel_features(images: np.ndarray, grid: int = 8) -> np.ndarray:
-    n, c, h, w = images.shape
-    fh, fw = h // grid, w // grid
-    pooled = images.reshape(n, c, grid, fh, grid, fw).mean(axis=(3, 5))
-    return pooled.reshape(n, -1)
-
-
-def evaluate_state(state: ModelState, images: np.ndarray, fid_features: str = "latent") -> dict:
+def evaluate_state(state: ModelState, images: np.ndarray) -> dict:
     """Reconstruction metrics plus the Gaussian Fréchet stand-in.
 
-    fid_star is a closed-form Fréchet distance between Gaussians fit to
-    pluggable features; it is not Inception-FID.
+    fid_star is a closed-form Fréchet distance between Gaussians fit to the
+    quantized latents of the images and of their reconstructions; it is not
+    Inception-FID.
     """
     recon, latents = _reconstruct_all(state, images)
     psnrs = [psnr(images[i], recon[i]) for i in range(images.shape[0])]
     l1s = [l1_metric(images[i], recon[i]) for i in range(images.shape[0])]
     l2s = [l2_metric(images[i], recon[i]) for i in range(images.shape[0])]
-    if fid_features == "pixels":
-        feats_real = _pixel_features(images)
-        feats_recon = _pixel_features(recon)
-    else:
-        feats_real = latents
-        # the reconstructions' latents need no decoder pass
-        feats_recon = np.concatenate([quantize_images(state, recon[lo:hi])[0].data.reshape(hi - lo, -1)
-                                      for lo, hi in _chunks(recon.shape[0], _EVAL_CHUNK)])
-    fid = frechet_gaussian(*gaussian_stats(feats_real), *gaussian_stats(feats_recon))
+    # the reconstructions' latents need no decoder pass
+    recon_latents = np.concatenate([quantize_images(state, recon[lo:hi])[0].data.reshape(hi - lo, -1)
+                                    for lo, hi in _chunks(recon.shape[0], _EVAL_CHUNK)])
+    fid = frechet_gaussian(*gaussian_stats(latents), *gaussian_stats(recon_latents))
     return {
         "step": state.step,
         "n_images": int(images.shape[0]),
@@ -101,7 +90,6 @@ def evaluate_state(state: ModelState, images: np.ndarray, fid_features: str = "l
         "l1": float(np.mean(l1s)),
         "l2": float(np.mean(l2s)),
         "fid_star": fid,
-        "fid_features": fid_features,
         "fid_note": "Gaussian Frechet distance on model features; not Inception-FID",
     }
 
@@ -170,7 +158,7 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
             report = training_step(state, train_set[idx])
             steps_csv.append(report.csv_values())
             if report.step % cfg.eval_every == 0 or report.step == cfg.train.steps:
-                ev = evaluate_state(state, val_set, cfg.fid_features)
+                ev = evaluate_state(state, val_set)
                 eval_csv.append((report.step, ev["psnr"], ev["l1"], ev["l2"], ev["fid_star"]))
                 last_eval = ev
                 save_checkpoint(state, last_dir, experiment=cfg.to_dict(),
@@ -193,21 +181,18 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
                      utilization_json=util_json, utilization_csv=util_csv, last_eval=last_eval)
 
 
-def run_eval(checkpoint: str, split: str = "val", out_path: str | None = None,
-             dataset: dict | None = None, fid_features: str | None = None) -> dict:
-    """Evaluate a checkpoint on one split of its (or an overridden) dataset."""
+def run_eval(checkpoint: str, split: str = "val", out_path: str | None = None) -> dict:
+    """Evaluate a checkpoint on one split of the dataset its run trained on."""
     state, manifest = load_checkpoint(checkpoint)
-    exp = manifest.get("experiment") or {}
-    spec = dataset if dataset is not None else exp.get("dataset")
+    spec = (manifest.get("experiment") or {}).get("dataset")
     if spec is None:
-        raise ConfigError("checkpoint carries no dataset spec; pass one explicitly")
-    kind = fid_features or exp.get("fid_features", "latent")
+        raise ConfigError("checkpoint carries no dataset spec")
     images = build_dataset(spec, state.config.image_size)
     train_set, val_set, test_set = split_dataset(images)
     subset = {"train": train_set, "val": val_set, "test": test_set}.get(split)
     if subset is None:
         raise ConfigError(f"unknown split {split!r}")
-    ev = evaluate_state(state, subset, kind)
+    ev = evaluate_state(state, subset)
     ev["split"] = split
     ev["checkpoint"] = checkpoint
     codebooks = state.quantizer.codebooks()
@@ -239,7 +224,10 @@ def grid_width(n_entries: int) -> int:
     width = min(n_entries, os.cpu_count() or 1)
     cap = os.environ.get("DUALVQ_THREADS")
     if cap:
-        width = max(1, min(width, int(cap)))
+        try:
+            width = max(1, min(width, int(cap)))
+        except ValueError:
+            raise ConfigError(f"DUALVQ_THREADS must be an integer, got {cap!r}") from None
     return width
 
 

@@ -18,10 +18,10 @@ VERSION = 1
 
 
 def array_to_bytes(arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    arr = np.asarray(arr, dtype="<f8")  # keeps 0-d arrays 0-d
     header = MAGIC + struct.pack("<II", VERSION, arr.ndim)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
-    return header + arr.astype("<f8").tobytes()
+    return header + arr.tobytes()
 
 
 def bytes_to_array(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:

@@ -1,9 +1,9 @@
 """Lightweight transformer encoder that refines a codebook.
 
 The K code vectors are the token sequence; there is no positional encoding
-by default because a codebook is an unordered set (a learned-positions flag
-exists for ablation). Blocks are pre-normalisation: attention and
-feed-forward branches read a layernormed copy and add their output back.
+because a codebook is an unordered set. Blocks are pre-normalisation:
+attention and feed-forward branches read a layernormed copy and add their
+output back.
 
 Residual output projections (attention out-projection and the second
 feed-forward matrix) carry no bias and initialise to zero, so a fresh
@@ -29,7 +29,6 @@ class TransformerConfig:
     heads: int = 2
     ff_dim: int = 64
     embed_dim: int = 4
-    learned_positions: bool = False
 
     def validate(self):
         for name in ("layers", "heads", "ff_dim", "embed_dim"):
@@ -56,8 +55,6 @@ class TransformerParams:
             return rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols))
 
         self.tensors: dict[str, Tensor] = {}
-        if cfg.learned_positions:
-            self._add("pos", np.zeros((1, d)))
         for i in range(cfg.layers):
             p = f"layer{i}."
             self._add(p + "ln1_g", np.ones(d))
@@ -105,8 +102,6 @@ def refine(entries: Tensor, params: TransformerParams) -> Tensor:
             f"refine: entries {entries.shape} do not match embed_dim {cfg.embed_dim}"
         )
     x = entries
-    if cfg.learned_positions:
-        x = add(x, params["pos"])
     for i in range(cfg.layers):
         p = f"layer{i}."
         h = layernorm(x, params[p + "ln1_g"], params[p + "ln1_b"])

@@ -501,6 +501,7 @@ class TestFiniteAndDump:
         blob = tensor_io.array_to_bytes(np.array(3.5))
         back, end = tensor_io.bytes_to_array(blob)
         assert end == len(blob)
+        assert back.shape == ()
         assert back == 3.5
 
     def test_every_cut_dump_rejected(self):

@@ -1,11 +1,12 @@
 import copy
+import json
 import os
 import re
 
 import numpy as np
 import pytest
 
-from dualvq.autodiff import NonFiniteError, ShapeError, Tensor, backward, l1_loss
+from dualvq.autodiff import NonFiniteError, ShapeError, Tensor, backward, l1_loss, stop_gradient
 from dualvq.checkpoint import CHECKPOINT_FILE, load_checkpoint, save_checkpoint
 from dualvq.data import batch_indices, synth_dataset
 from dualvq.model import (
@@ -230,6 +231,26 @@ class TestTrainingStep:
             assert np.array_equal(last_w.grad, full)
             assert all(p.grad is None for name, p in state.all_params() if p is not last_w)
 
+    def test_disc_update_reuses_generator_pass(self):
+        # backward restricted to the discriminator through the generator's d_fake
+        # gives the bits of a full pass over a separate stop_gradient(x_hat) pass
+        state = init_model(desk_config(seed=10, disc_start_step=0))
+        x = Tensor(tiny_batch(seed=10))
+        z_q, _ = quantize_latents(state, encode(state, x))
+        x_hat = decode(state, z_q)
+        d_fake = discriminate(state, x_hat)
+        for kind in ("hinge", "bce"):
+            state.zero_grads()
+            d_real = discriminate(state, x)
+            backward(discriminator_loss(d_real, discriminate(state, stop_gradient(x_hat)), kind))
+            separate = {k: p.grad.copy() for k, p in state.disc_params.items()}
+            state.zero_grads()
+            backward(discriminator_loss(discriminate(state, x), d_fake, kind),
+                     wrt=list(state.disc_params.values()))
+            for k, p in state.disc_params.items():
+                assert np.array_equal(p.grad, separate[k]), (kind, k)
+            assert all(p.grad is None for p in state.gen_params.values())
+
     def test_lambda_positive_after_start(self):
         cfg = desk_config(seed=8, disc_start_step=0)
         _, reports = run_steps(cfg, 3)
@@ -305,7 +326,6 @@ class TestCheckpointRoundTrip:
         save_checkpoint(state, str(tmp_path / "ck"))
         other = desk_config(seed=18, latent_channels=6, split_global=3, split_local=3,
                             tf_heads=3)
-        import json
         path = tmp_path / "ck" / CHECKPOINT_FILE
         line, _, dumps = path.read_bytes().partition(b"\n")
         manifest = json.loads(line)
@@ -320,10 +340,22 @@ class TestCheckpointRoundTrip:
         assert os.listdir(tmp_path / "ck") == [CHECKPOINT_FILE]
         path = tmp_path / "ck" / CHECKPOINT_FILE
         blob = path.read_bytes()
-        for bad in (blob[:-8], blob[:blob.index(b"\n")], blob + b"\0" * 8):
+        line, _, dumps = blob.partition(b"\n")
+        manifest = json.loads(line)
+
+        def with_manifest(drop=(), **extra):
+            kept = {k: v for k, v in manifest.items() if k not in drop}
+            return json.dumps({**kept, **extra}).encode() + b"\n" + dumps
+
+        renamed = with_manifest(drop=["adam_t_disc"], adam_t_discriminator=manifest["adam_t_disc"])
+        old_format = with_manifest(format_version=2)
+        for bad in (blob[:-8], line, blob + b"\0" * 8, b"{" + blob,
+                    with_manifest(drop=["step"]), renamed, old_format):
             path.write_bytes(bad)
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 load_checkpoint(str(tmp_path / "ck"))
+        with pytest.raises(ValueError, match="format 2"):
+            load_checkpoint(str(tmp_path / "ck"))
 
 
 class TestDegenerateTransformerTraining:

@@ -278,6 +278,15 @@ class TestAblation:
         assert grid_width(4) <= 2
         monkeypatch.delenv("DUALVQ_THREADS")
         assert grid_width(1) == 1
+        monkeypatch.setenv("DUALVQ_THREADS", "two")
+        with pytest.raises(ConfigError, match="DUALVQ_THREADS"):
+            grid_width(4)
+        raw = small_raw(tmp_path / "abl", grid=[{"split_global": 4, "split_local": 4,
+                                                 "transformer_on": True, "codebook_total": 16}])
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        proc = run_cli(["ablate", "--config", str(tmp_path / "cfg.json")])
+        assert proc.returncode == 2
+        assert "DUALVQ_THREADS" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def run_cli(args, **kw):
