@@ -12,6 +12,28 @@ Gradients accumulate into ``.grad`` on leaf tensors; calling ``backward``
 twice without zeroing in between adds the two passes together (documented
 contract; the training loop zeroes explicitly between passes).
 ``backward(loss, wrt=...)`` fills only the gradients that ``wrt`` needs.
+
+Convolution. Every conv op (conv2d forward, input and kernel gradient,
+conv_transpose2d forward and backward) at every stride runs through one
+primitive: a stride-1 correlation with one GEMM per kernel tap.
+
+- The input is padded once into a flat channels-last buffer of shape
+  (B·Hg·Wg + slack, C). Output cell p of tap (i, j) reads input cell
+  p + i·Wg + j, so each tap reads one contiguous slice of the buffer. The
+  GEMMs run over the whole padded-width grid, batch included, and the
+  junk cells past each row and image are cropped afterwards. The kernel
+  gradient is the same tap loop with slice^T @ g.
+- Stride s > 1 becomes stride 1 through space-to-depth. The padded input
+  folds s×s blocks into channels, giving (C·s², ⌈H/s⌉, ⌈W/s⌉). The kernel
+  becomes (O, C·s², ⌈k/s⌉, ⌈k/s⌉), zero where s·a + r ≥ k. The kernel
+  gradient maps back by depth-to-space.
+- The input gradient (and conv_transpose2d's forward) is the stride-1
+  correlation of the output gradient, padded by k' − 1, with the flipped,
+  transposed space-to-depth kernel, followed by depth-to-space and a crop.
+
+No (B, C·kh·kw, H·W) column tensor is built: each temporary is a grid
+about the size of the padded input or output. The reduction order is
+fixed by the shapes, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -296,6 +318,10 @@ def matmul(a, b) -> Tensor:
 
 # -- convolution -----------------------------------------------------------
 
+# output bytes _correlate sums over the taps at a time, so the running sum,
+# its addend and the input rows stay in a core's L2 cache
+CORRELATE_BLOCK_BYTES = 1 << 18
+
 
 def _conv_extent(extent, k, stride, pad, what):
     span = extent + 2 * pad - k
@@ -306,48 +332,131 @@ def _conv_extent(extent, k, stride, pad, what):
     return span // stride + 1
 
 
-def _im2col(x, kh, kw, stride, pad, oh, ow):
-    b, c, h, w = x.shape
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    xp[:, :, pad : pad + h, pad : pad + w] = x
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(b, c * kh * kw, oh * ow)
+def _phases(s, pad):
+    """(r, src, dst) per phase r of a stride-s space-to-depth: samples src,
+    src + s, ... of an axis padded by ``pad`` land in cells dst, dst + 1, ...
+    of phase r."""
+    for r in range(s):
+        src = (r - pad) % s
+        yield r, src, (src + pad) // s
+
+
+def _to_grid(x, s, pad, hg, wg, reach):
+    """Pad (B,C,H,W) by ``pad`` = (top, left) zeros, fold s×s blocks into
+    channels and lay it out channels-last in a flat (B·hg·wg + slack, s·s·C)
+    buffer, where the slack lets a ``reach`` = (kh, kw) kernel's last tap read
+    past the final cell."""
+    b, c = x.shape[:2]
+    slack = (reach[0] - 1) * wg + reach[1] - 1
+    buf = np.zeros((b * hg * wg + slack, s * s * c))
+    grid = buf[: b * hg * wg].reshape(b, hg, wg, s, s, c)
+    for r1, y0, m1 in _phases(s, pad[0]):
+        for r2, x0, m2 in _phases(s, pad[1]):
+            part = x[:, :, y0::s, x0::s].transpose(0, 2, 3, 1)
+            grid[:, m1 : m1 + part.shape[1], m2 : m2 + part.shape[2], r1, r2] = part
+    return buf
+
+
+def _from_grid(grid, s, pad, h, w):
+    """Inverse of ``_to_grid`` on a (B, hg, wg, s·s·C) grid: unfold channels
+    into s×s blocks, crop ``pad`` and return the (B, C, h, w) array."""
+    b, hg, wg, cs = grid.shape
+    c = cs // (s * s)
+    grid = grid.reshape(b, hg, wg, s, s, c)
+    out = np.empty((b, c, h, w))
+    for r1, y0, m1 in _phases(s, pad):
+        for r2, x0, m2 in _phases(s, pad):
+            part = out[:, :, y0::s, x0::s]
+            part[...] = grid[:, m1 : m1 + part.shape[2], m2 : m2 + part.shape[3], r1, r2].transpose(0, 3, 1, 2)
+    return out
+
+
+def _kernel_taps(w, s):
+    """(O,C,kh,kw) kernel -> (⌈kh/s⌉, ⌈kw/s⌉, s·s·C, O) taps over a stride-s
+    space-to-depth grid, zero where s·a + r ≥ k."""
+    o, c, kh, kw = w.shape
+    ah, aw = -(-kh // s), -(-kw // s)
+    wp = np.zeros((o, c, ah * s, aw * s))
+    wp[:, :, :kh, :kw] = w
+    taps = wp.reshape(o, c, ah, s, aw, s).transpose(2, 4, 3, 5, 1, 0).reshape(ah, aw, s * s * c, o)
+    return np.ascontiguousarray(taps)    # at s = 1 the reshape is a strided view
+
+
+def _kernel_from_taps(taps, s, kh, kw):
+    """Inverse of ``_kernel_taps``: depth-to-space back to (O, C, kh, kw)."""
+    ah, aw, cs, o = taps.shape
+    c = cs // (s * s)
+    k = taps.reshape(ah, aw, s, s, c, o).transpose(5, 4, 0, 2, 1, 3).reshape(o, c, ah * s, aw * s)
+    return k[:, :, :kh, :kw]
+
+
+def _tap_rows(buf, ah, aw, wg, n):
+    """(i, j, rows) per tap of a stride-1 correlation on a flat grid of row
+    width ``wg``: output cell p reads input cell p + i·wg + j, so tap (i, j)
+    sees the contiguous rows buf[i·wg + j :][:n]."""
+    for i in range(ah):
+        for j in range(aw):
+            yield i, j, buf[i * wg + j : i * wg + j + n]
+
+
+def _correlate(buf, taps, n, wg):
+    """out[p] = Σ_ij buf[p + i·wg + j] @ taps[i, j] for p < n, as one GEMM per
+    tap summed in tap order; returns (n, O). The rows go in blocks of about
+    CORRELATE_BLOCK_BYTES of output, so the running sum stays in cache."""
+    ah, aw, _, o = taps.shape
+    block = max(1, CORRELATE_BLOCK_BYTES // (8 * o))
+    out = np.empty((n, o))
+    tmp = np.empty((min(block, n), o))
+    for lo in range(0, n, block):
+        acc = out[lo : lo + block]
+        for i, j, rows in _tap_rows(buf[lo:], ah, aw, wg, len(acc)):
+            if i == j == 0:
+                np.matmul(rows, taps[0, 0], out=acc)
+            else:
+                acc += np.matmul(rows, taps[i, j], out=tmp[: len(acc)])
+    return out
+
+
+def _correlate_grad_taps(buf, g, ah, aw, wg):
+    """Gradient of ``_correlate`` w.r.t. its taps, for an output gradient
+    ``g`` (n, O) that is zero on cells outside the valid output."""
+    out = np.empty((ah, aw, buf.shape[1], g.shape[1]))
+    for i, j, rows in _tap_rows(buf, ah, aw, wg, g.shape[0]):
+        np.matmul(rows.T, g, out=out[i, j])
+    return out
 
 
 def _conv_forward(x, w, stride, pad):
-    b, c, h, ww = x.shape
+    b, _, h, ww = x.shape
     o, _, kh, kw = w.shape
     oh = _conv_extent(h, kh, stride, pad, "height")
     ow = _conv_extent(ww, kw, stride, pad, "width")
-    cols = _im2col(x, kh, kw, stride, pad, oh, ow)
-    out = np.matmul(w.reshape(o, -1), cols)
-    return out.reshape(b, o, oh, ow)
+    taps = _kernel_taps(w, stride)
+    ah, aw = taps.shape[:2]
+    hg, wg = oh + ah - 1, ow + aw - 1
+    buf = _to_grid(x, stride, (pad, pad), hg, wg, (ah, aw))
+    out = _correlate(buf, taps, b * hg * wg, wg)
+    return _from_grid(out.reshape(b, hg, wg, o), 1, 0, oh, ow)
 
 
 def _conv_grad_w(x, g, stride, pad, kh, kw):
-    b = x.shape[0]
-    o = g.shape[1]
-    oh, ow = g.shape[2], g.shape[3]
-    cols = _im2col(x, kh, kw, stride, pad, oh, ow)
-    m = oh * ow
-    gw = np.matmul(g.reshape(b, o, m), cols.swapaxes(1, 2)).sum(axis=0)
-    return gw.reshape(o, x.shape[1], kh, kw)
+    oh, ow = g.shape[2:]
+    ah, aw = -(-kh // stride), -(-kw // stride)
+    hg, wg = oh + ah - 1, ow + aw - 1
+    buf = _to_grid(x, stride, (pad, pad), hg, wg, (ah, aw))
+    g_grid = _to_grid(g, 1, (0, 0), hg, wg, (1, 1))    # zero on the junk cells
+    return _kernel_from_taps(_correlate_grad_taps(buf, g_grid, ah, aw, wg), stride, kh, kw)
 
 
 def _conv_grad_x(g, w, stride, pad, h, ww):
-    b = g.shape[0]
-    o, c, kh, kw = w.shape
-    oh, ow = g.shape[2], g.shape[3]
-    gcols = np.matmul(w.reshape(o, -1).T, g.reshape(b, o, oh * ow))
-    gcols = gcols.reshape(b, c, kh, kw, oh, ow)
-    gxp = np.zeros((b, c, h + 2 * pad, ww + 2 * pad), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[:, :, i, j]
-    return gxp[:, :, pad : pad + h, pad : pad + ww]
+    b, _, oh, ow = g.shape
+    taps = _kernel_taps(w, stride)
+    ah, aw = taps.shape[:2]
+    flipped = np.ascontiguousarray(taps[::-1, ::-1].swapaxes(2, 3))
+    hg, wg = oh + 2 * (ah - 1), ow + 2 * (aw - 1)
+    buf = _to_grid(g, 1, (ah - 1, aw - 1), hg, wg, (ah, aw))
+    out = _correlate(buf, flipped, b * hg * wg, wg)
+    return _from_grid(out.reshape(b, hg, wg, -1), stride, pad, h, ww)
 
 
 def conv2d(x, w, stride=1, pad=0) -> Tensor:

@@ -36,9 +36,15 @@ def _counts_blob(cb):
     }
 
 
-def _restore_counts(cb, blob):
-    cb.window_counts = np.asarray(blob["window"], dtype=np.uint64)
-    cb.counts = np.asarray(blob["cumulative"], dtype=np.uint64)
+def _restore_counts(cb, blob, where):
+    window = np.asarray(blob["window"], dtype=np.uint64)
+    cumulative = np.asarray(blob["cumulative"], dtype=np.uint64)
+    for name, v in (("window", window), ("cumulative", cumulative)):
+        if v.shape != (cb.n_entries,):
+            raise ValueError(f"{where}: {name} counts have shape {v.shape}, "
+                             f"expected ({cb.n_entries},)")
+    cb.window_counts = window
+    cb.counts = cumulative
     cb.window_total = int(blob["window_total"])
     cb.total_assignments = int(blob["total"])
 
@@ -86,7 +92,10 @@ def load_checkpoint(dirpath: str) -> tuple[ModelState, dict]:
     missing = _MANIFEST_KEYS - set(manifest)
     if missing:
         raise ValueError(f"{path}: manifest lacks {sorted(missing)}")
-    config = TrainConfig.from_dict(manifest["config"])
+    try:
+        config = TrainConfig.from_dict(manifest["config"])
+    except TypeError as e:
+        raise ValueError(f"{path}: manifest config does not fit TrainConfig: {e}") from None
     state = init_model(config)
     state.step = int(manifest["step"])
     state.adam_t_gen = int(manifest["adam_t_gen"])
@@ -96,7 +105,7 @@ def load_checkpoint(dirpath: str) -> tuple[ModelState, dict]:
     expected = set(params) | {f"adam_m.{k}" for k in params} | {f"adam_v.{k}" for k in params}
     keys = set(manifest["tensors"])
     if keys != expected:
-        raise ValueError(f"checkpoint tensors do not match the config's model: unknown "
+        raise ValueError(f"{path}: tensors do not match the config's model: unknown "
                          f"{sorted(keys - expected)[:5]}, missing {sorted(expected - keys)[:5]}")
     pos = newline + 1
     for key in manifest["tensors"]:
@@ -110,14 +119,16 @@ def load_checkpoint(dirpath: str) -> tuple[ModelState, dict]:
             state.adam_v[key[len("adam_v."):]] = arr
         else:
             if arr.shape != params[key].data.shape:
-                raise ValueError(f"checkpoint tensor {key!r} has shape {arr.shape}, "
+                raise ValueError(f"{path}: tensor {key!r} has shape {arr.shape}, "
                                  f"expected {params[key].data.shape}")
             params[key].data = arr
     if pos != len(blob):
         raise ValueError(f"{path}: {len(blob) - pos} bytes after the last tensor dump")
 
     for name, cb in state.quantizer.codebooks().items():
-        _restore_counts(cb, manifest["counts"][name])
+        if name not in manifest["counts"]:
+            raise ValueError(f"{path}: manifest counts lack codebook {name!r}")
+        _restore_counts(cb, manifest["counts"][name], f"{path}: codebook {name!r}")
     return state, manifest
 
 

@@ -19,6 +19,8 @@ from .autodiff import ShapeError, Tensor, gather_rows, mse_loss, stop_gradient, 
 from . import tensor_io
 
 CODEBOOK_MAGIC = b"DVQC"
+# elements of the (rows, K, d) difference block nearest_indices forms at once (4 MiB)
+NEAREST_BLOCK_ELEMS = 1 << 19
 
 
 class Codebook:
@@ -69,16 +71,23 @@ class QuantizationResult:
 
 
 def nearest_indices(features, entries) -> np.ndarray:
-    """Index of the closest entry per feature row; ties go to the lowest index."""
+    """Index of the closest entry per feature row; ties go to the lowest index.
+
+    Rows are compared in blocks of at most NEAREST_BLOCK_ELEMS difference
+    elements, so memory stays bounded as N and K grow; each row's distances
+    do not depend on the block it falls in."""
     f = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
     e = entries.data if isinstance(entries, Tensor) else np.asarray(entries, dtype=np.float64)
     if e.ndim != 2 or e.shape[0] < 1:
         raise ValueError(f"codebook entries must be a non-empty (K, d) table, got {e.shape}")
     if f.ndim != 2 or f.shape[1] != e.shape[1]:
         raise ShapeError(f"feature dim mismatch: features {f.shape} vs entries {e.shape}")
-    diff = f[:, None, :] - e[None, :, :]
-    dist = np.einsum("nkd,nkd->nk", diff, diff)
-    return np.argmin(dist, axis=1).astype(np.int64)
+    rows = max(1, NEAREST_BLOCK_ELEMS // e.size)
+    out = np.empty(f.shape[0], dtype=np.int64)
+    for lo in range(0, f.shape[0], rows):
+        diff = f[lo : lo + rows, None, :] - e[None, :, :]
+        out[lo : lo + rows] = np.argmin(np.einsum("nkd,nkd->nk", diff, diff), axis=1)
+    return out
 
 
 def vq_terms(features: Tensor, z_q_values: Tensor, beta: float) -> tuple[Tensor, Tensor]:

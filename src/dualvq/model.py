@@ -426,7 +426,7 @@ def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
     losses = generator_losses(x, x_hat, d_fake, lam, quant, cfg.disc_weight, cfg.gan_loss)
     _check_finite(losses.total, state.step, "loss")
     state.zero_grads()
-    backward(losses.total)
+    backward(losses.total, wrt=list(state.gen_params.values()))
     state.adam_t_gen = _adam_group(state, state.gen_params, state.adam_t_gen)
 
     d_loss_val = 0.0

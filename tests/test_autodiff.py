@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,108 @@ class TestConvTranspose:
             lambda ts: conv_transpose2d(ts[0], ts[1], stride=2, pad=1).sum(),
             shapes, seed=11, tol=1e-6,
         )
+
+
+def conv2d_loops_grads(x, w, g, stride, pad):
+    """Input and kernel gradients of conv2d_loops for output gradient g, by the same loops."""
+    b, c, h, ww = x.shape
+    o, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for bi, oi, y, xx in np.ndindex(b, o, g.shape[2], g.shape[3]):
+        for ci, i, j in np.ndindex(c, kh, kw):
+            gxp[bi, ci, y * stride + i, xx * stride + j] += g[bi, oi, y, xx] * w[oi, ci, i, j]
+            gw[oi, ci, i, j] += g[bi, oi, y, xx] * xp[bi, ci, y * stride + i, xx * stride + j]
+    return gxp[:, :, pad : pad + h, pad : pad + ww], gw
+
+
+def conv_geometries(stride):
+    """Input extents, kernel extents and pad for every integral conv geometry
+    with pad 0-2, kernels 1-4 (square and not) and 1-3 output rows/columns.
+    At stride 2-3 this includes kernels smaller than the stride and input
+    extents smaller than the stride."""
+    for pad in (0, 1, 2):
+        for kh, kw in ((1, 1), (2, 2), (3, 3), (4, 4), (1, 3), (4, 2), (3, 1)):
+            for oh, ow in ((1, 2), (3, 1), (2, 3)):
+                h = (oh - 1) * stride + kh - 2 * pad
+                ww = (ow - 1) * stride + kw - 2 * pad
+                if h >= 1 and ww >= 1:
+                    yield (h, ww), (kh, kw), pad
+
+
+def full_and_restricted_grads(op, a, b, g, stride, pad):
+    """([grad a], [grad b]) of sum(op(a, b) * g), each from a full pass and from
+    a pass restricted to that argument, which leaves the other without a gradient."""
+    full = [Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)]
+    backward(weighted(op(*full, stride=stride, pad=pad), g))
+    grads = ([full[0].grad], [full[1].grad])
+    for k in (0, 1):
+        ts = [Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)]
+        backward(weighted(op(*ts, stride=stride, pad=pad), g), wrt=[ts[k]])
+        assert ts[1 - k].grad is None
+        grads[k].append(ts[k].grad)
+    return grads
+
+
+class TestConvGeometryGrid:
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_conv2d_matches_loops(self, stride):
+        rng = np.random.default_rng(40 + stride)
+        for (h, ww), (kh, kw), pad in conv_geometries(stride):
+            x = rng.normal(size=(2, 2, h, ww))
+            w = rng.normal(size=(3, 2, kh, kw))
+            expected = conv2d_loops(x, w, stride, pad)
+            out = conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad)
+            assert out.shape == expected.shape
+            assert np.abs(out.data - expected).max() < 1e-10, (h, ww, kh, kw, pad)
+            g = rng.normal(size=expected.shape)
+            gx, gw = conv2d_loops_grads(x, w, g, stride, pad)
+            got_x, got_w = full_and_restricted_grads(conv2d, x, w, g, stride, pad)
+            for got in got_x:
+                assert np.abs(got - gx).max() < 1e-10, (h, ww, kh, kw, pad)
+            for got in got_w:
+                assert np.abs(got - gw).max() < 1e-10, (h, ww, kh, kw, pad)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_conv_transpose2d_matches_loops(self, stride):
+        rng = np.random.default_rng(50 + stride)
+        for (h, ww), (kh, kw), pad in conv_geometries(stride):
+            w = rng.normal(size=(3, 2, kh, kw))
+            y = rng.normal(size=conv2d_loops(np.zeros((2, 2, h, ww)), w, stride, pad).shape)
+            # conv_transpose2d is conv2d's input gradient; its own gradients
+            # are conv2d (w.r.t. y) and conv2d's kernel gradient (w.r.t. w)
+            expected, _ = conv2d_loops_grads(np.zeros((2, 2, h, ww)), w, y, stride, pad)
+            out = conv_transpose2d(Tensor(y), Tensor(w), stride=stride, pad=pad)
+            assert out.shape == expected.shape
+            assert np.abs(out.data - expected).max() < 1e-10, (h, ww, kh, kw, pad)
+            g = rng.normal(size=expected.shape)
+            gy = conv2d_loops(g, w, stride, pad)
+            _, gw = conv2d_loops_grads(g, w, y, stride, pad)
+            got_y, got_w = full_and_restricted_grads(conv_transpose2d, y, w, g, stride, pad)
+            for got in got_y:
+                assert np.abs(got - gy).max() < 1e-10, (h, ww, kh, kw, pad)
+            for got in got_w:
+                assert np.abs(got - gw).max() < 1e-10, (h, ww, kh, kw, pad)
+
+    @pytest.mark.parametrize("op,x_shape,w_shape,stride", [
+        (conv2d, (8, 24, 32, 32), (24, 24, 3, 3), 1),
+        (conv_transpose2d, (8, 24, 16, 16), (24, 24, 4, 4), 2),
+    ])
+    def test_peak_memory_has_no_column_tensor(self, op, x_shape, w_shape, stride):
+        # A k²-expanded column tensor alone is 4.5x (3x3) or 3.2x (4x4 at
+        # stride 2) the input-plus-output bytes, on top of the grids.
+        rng = np.random.default_rng(60)
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = op(x, w, stride=stride, pad=1)
+            backward(out.sum())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (x.data.nbytes + out.data.nbytes)
 
 
 class TestNormActivations:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dualvq import codebook
 from dualvq.autodiff import ShapeError, Tensor, backward, mul, stop_gradient
 from dualvq.codebook import (
     Codebook,
@@ -41,6 +42,19 @@ class TestNearest:
                 if d < best_d:
                     best, best_d = k, d
             assert idx[n] == best
+
+    def test_row_blocks_match_one_block_with_ties(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        entries = rng.integers(-2, 3, size=(12, 3)).astype(np.float64)
+        entries[7] = entries[2]
+        feats = rng.integers(-4, 5, size=(300, 3)) / 2.0
+        diff = feats[:, None, :] - entries[None, :, :]
+        dist = np.einsum("nkd,nkd->nk", diff, diff)
+        unblocked = np.argmin(dist, axis=1)
+        assert ((dist == dist.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum() > 30
+        for block in (1, entries.size * 7, entries.size * 300, 1 << 30):
+            monkeypatch.setattr(codebook, "NEAREST_BLOCK_ELEMS", block)
+            assert np.array_equal(nearest_indices(feats, entries), unblocked), block
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):

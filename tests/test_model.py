@@ -22,6 +22,7 @@ from dualvq.model import (
     encode,
     generator_losses,
     init_model,
+    quant_loss_total,
     quantize_latents,
     training_step,
 )
@@ -251,6 +252,25 @@ class TestTrainingStep:
                 assert np.array_equal(p.grad, separate[k]), (kind, k)
             assert all(p.grad is None for p in state.gen_params.values())
 
+    def test_generator_backward_fills_only_generator(self):
+        # the generator update restricts backward to gen params; the bits match
+        # a full pass, which also filled the discriminator kernels
+        state = init_model(desk_config(seed=11, disc_start_step=0))
+        x = Tensor(tiny_batch(seed=11))
+        z_q, results = quantize_latents(state, encode(state, x))
+        x_hat = decode(state, z_q)
+        total = generator_losses(x, x_hat, discriminate(state, x_hat), 0.5,
+                                 quant_loss_total(results), 0.8, "hinge").total
+        state.zero_grads()
+        backward(total)
+        full = {k: p.grad.copy() for k, p in state.gen_params.items()}
+        assert all(p.grad is not None for p in state.disc_params.values())
+        state.zero_grads()
+        backward(total, wrt=list(state.gen_params.values()))
+        for k, p in state.gen_params.items():
+            assert np.array_equal(p.grad, full[k]), k
+        assert all(p.grad is None for p in state.disc_params.values())
+
     def test_lambda_positive_after_start(self):
         cfg = desk_config(seed=8, disc_start_step=0)
         _, reports = run_steps(cfg, 3)
@@ -349,8 +369,15 @@ class TestCheckpointRoundTrip:
 
         renamed = with_manifest(drop=["adam_t_disc"], adam_t_discriminator=manifest["adam_t_disc"])
         old_format = with_manifest(format_version=2)
+        unknown_key = with_manifest(config={**manifest["config"], "tf_positional": True})
+        no_local = with_manifest(counts={"global": manifest["counts"]["global"]})
+        short = {**manifest["counts"]["local"], "window": manifest["counts"]["local"]["window"][:-1]}
+        short_counts = with_manifest(counts={**manifest["counts"], "local": short})
+        keys = [k.replace("enc.proj.b", "enc.proj.bias") for k in manifest["tensors"]]
+        narrower = with_manifest(config={**manifest["config"], "enc_channels": [24, 40]})
         for bad in (blob[:-8], line, blob + b"\0" * 8, b"{" + blob,
-                    with_manifest(drop=["step"]), renamed, old_format):
+                    with_manifest(drop=["step"]), renamed, unknown_key, no_local, short_counts,
+                    with_manifest(tensors=keys), narrower, old_format):
             path.write_bytes(bad)
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 load_checkpoint(str(tmp_path / "ck"))
