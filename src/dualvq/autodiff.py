@@ -34,6 +34,10 @@ primitive: a stride-1 correlation with one GEMM per kernel tap.
 No (B, C·kh·kw, H·W) column tensor is built: each temporary is a grid
 about the size of the padded input or output. The reduction order is
 fixed by the shapes, so reruns are bit-identical.
+
+Both conv ops fuse an optional (1,O,1,1) ``bias`` and activation into
+their node, whose values and gradients equal, bit for bit, those of the
+unfused chain conv, ``+ bias``, activation.
 """
 
 from __future__ import annotations
@@ -138,9 +142,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def backward(self):
-        backward(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -459,28 +460,59 @@ def _conv_grad_x(g, w, stride, pad, h, ww):
     return _from_grid(out.reshape(b, hg, wg, -1), stride, pad, h, ww)
 
 
-def conv2d(x, w, stride=1, pad=0) -> Tensor:
-    """Strided 2-d cross-correlation of (B,C,H,W) with kernels (O,C,kh,kw)."""
+# forward and gradient, from the output y, of each activation: the fused
+# conv layers and the standalone ops share these expressions
+_ACTIVATIONS = {
+    None: (lambda x: x, lambda g, y: g),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda g, y: g * (y > 0.0)),
+    "leaky_relu": (lambda x: np.where(x > 0.0, x, 0.2 * x),
+                   lambda g, y: g * np.where(y > 0.0, 1.0, 0.2)),
+    "sigmoid": (expit, lambda g, y: g * y * (1.0 - y)),
+}
+
+
+def _conv_node(out, x, w, bias, act, op, grad_x, grad_w):
+    """Add ``bias`` to the conv result ``out`` in place, apply ``act`` and
+    make the node whose backward runs ``grad_x``/``grad_w``."""
+    parents = (x, w)
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.shape != (1, out.shape[1], 1, 1):
+            raise ShapeError(f"{op}: bias must be (1,{out.shape[1]},1,1), got {bias.shape}")
+        out += bias.data
+        parents += (bias,)
+    fwd, act_grad = _ACTIVATIONS[act]
+    y = fwd(out)
+
+    def bw(g):
+        g = act_grad(g, y)
+        if bias is not None and _wants(bias):
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
+        if _wants(x):
+            _accumulate(x, grad_x(g))
+        if _wants(w):
+            _accumulate(w, grad_w(g))
+
+    return _make(y, parents, bw, op)
+
+
+def conv2d(x, w, stride=1, pad=0, *, bias=None, act=None) -> Tensor:
+    """Strided 2-d cross-correlation of (B,C,H,W) with kernels (O,C,kh,kw), then
+    ``+ bias`` (1,O,1,1) and ``act`` (None, relu, leaky_relu or sigmoid)."""
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d input and kernel, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv2d: channel mismatch, input {x.shape} vs kernel {w.shape}")
     out_data = _conv_forward(x.data, w.data, stride, pad)
-    kh, kw = w.shape[2], w.shape[3]
-    h, ww = x.shape[2], x.shape[3]
-
-    def bw(g):
-        if _wants(x):
-            _accumulate(x, _conv_grad_x(g, w.data, stride, pad, h, ww))
-        if _wants(w):
-            _accumulate(w, _conv_grad_w(x.data, g, stride, pad, kh, kw))
-
-    return _make(out_data, (x, w), bw, "conv2d")
+    return _conv_node(out_data, x, w, bias, act, "conv2d",
+                      lambda g: _conv_grad_x(g, w.data, stride, pad, *x.shape[2:]),
+                      lambda g: _conv_grad_w(x.data, g, stride, pad, *w.shape[2:]))
 
 
-def conv_transpose2d(x, w, stride=1, pad=0) -> Tensor:
-    """Adjoint of conv2d with the same kernel, stride and padding.
+def conv_transpose2d(x, w, stride=1, pad=0, *, bias=None, act=None) -> Tensor:
+    """Adjoint of conv2d with the same kernel, stride and padding, plus
+    ``bias`` and ``act`` as in conv2d.
 
     Maps (B,O,h,w) back to (B,C,H,W) where conv2d(·, w, stride, pad) maps
     (B,C,H,W) to (B,O,h,w); kernels keep the conv2d layout (O,C,kh,kw).
@@ -496,14 +528,9 @@ def conv_transpose2d(x, w, stride=1, pad=0) -> Tensor:
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"conv_transpose2d: output extent {h_out}x{w_out} not positive")
     out_data = _conv_grad_x(x.data, w.data, stride, pad, h_out, w_out)
-
-    def bw(g):
-        if _wants(x):
-            _accumulate(x, _conv_forward(g, w.data, stride, pad))
-        if _wants(w):
-            _accumulate(w, _conv_grad_w(g, x.data, stride, pad, kh, kw))
-
-    return _make(out_data, (x, w), bw, "conv_transpose2d")
+    return _conv_node(out_data, x, w, bias, act, "conv_transpose2d",
+                      lambda g: _conv_forward(g, w.data, stride, pad),
+                      lambda g: _conv_grad_w(g, x.data, stride, pad, kh, kw))
 
 
 # -- normalisation and attention pieces -------------------------------------
@@ -553,24 +580,24 @@ def softmax(x) -> Tensor:
 # -- pointwise activations ---------------------------------------------------
 
 
+def _pointwise(x, act) -> Tensor:
+    x = as_tensor(x)
+    fwd, act_grad = _ACTIVATIONS[act]
+    y = fwd(x.data)
+
+    def bw(g):
+        _accumulate(x, act_grad(g, y))
+
+    return _make(y, (x,), bw, act)
+
+
 def relu(x) -> Tensor:
-    x = as_tensor(x)
-    out_data = np.maximum(x.data, 0.0)
-
-    def bw(g):
-        _accumulate(x, g * (x.data > 0.0))
-
-    return _make(out_data, (x,), bw, "relu")
+    return _pointwise(x, "relu")
 
 
-def leaky_relu(x, negative_slope=0.2) -> Tensor:
-    x = as_tensor(x)
-    out_data = np.where(x.data > 0.0, x.data, negative_slope * x.data)
-
-    def bw(g):
-        _accumulate(x, g * np.where(x.data > 0.0, 1.0, negative_slope))
-
-    return _make(out_data, (x,), bw, "leaky_relu")
+def leaky_relu(x) -> Tensor:
+    """Slope 0.2 below zero."""
+    return _pointwise(x, "leaky_relu")
 
 
 def gelu(x) -> Tensor:
@@ -587,13 +614,7 @@ def gelu(x) -> Tensor:
 
 
 def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    y = expit(x.data)
-
-    def bw(g):
-        _accumulate(x, g * y * (1.0 - y))
-
-    return _make(y, (x,), bw, "sigmoid")
+    return _pointwise(x, "sigmoid")
 
 
 def softplus(x) -> Tensor:

@@ -94,41 +94,44 @@ def load_checkpoint(dirpath: str) -> tuple[ModelState, dict]:
         raise ValueError(f"{path}: manifest lacks {sorted(missing)}")
     try:
         config = TrainConfig.from_dict(manifest["config"])
-    except TypeError as e:
+        config.validate()
+    except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: manifest config does not fit TrainConfig: {e}") from None
+    counters = [manifest[k] for k in ("step", "adam_t_gen", "adam_t_disc")]
+    if any(type(v) is not int or v < 0 for v in counters):
+        raise ValueError(f"{path}: manifest step/adam_t_gen/adam_t_disc {counters} are not all counts")
     state = init_model(config)
-    state.step = int(manifest["step"])
-    state.adam_t_gen = int(manifest["adam_t_gen"])
-    state.adam_t_disc = int(manifest["adam_t_disc"])
+    state.step, state.adam_t_gen, state.adam_t_disc = counters
 
     params = dict(state.all_params())
-    expected = set(params) | {f"adam_m.{k}" for k in params} | {f"adam_v.{k}" for k in params}
+    shapes = {prefix + k: p.data.shape
+              for prefix in ("", "adam_m.", "adam_v.") for k, p in params.items()}
     keys = set(manifest["tensors"])
-    if keys != expected:
+    if keys != shapes.keys():
         raise ValueError(f"{path}: tensors do not match the config's model: unknown "
-                         f"{sorted(keys - expected)[:5]}, missing {sorted(expected - keys)[:5]}")
+                         f"{sorted(keys - shapes.keys())[:5]}, missing {sorted(shapes.keys() - keys)[:5]}")
     pos = newline + 1
     for key in manifest["tensors"]:
         try:
             arr, pos = tensor_io.bytes_to_array(blob, pos)
         except ValueError as e:
             raise ValueError(f"{path}: tensor {key!r}: {e}") from None
+        if arr.shape != shapes[key]:
+            raise ValueError(f"{path}: tensor {key!r} has shape {arr.shape}, expected {shapes[key]}")
         if key.startswith("adam_m."):
             state.adam_m[key[len("adam_m."):]] = arr
         elif key.startswith("adam_v."):
             state.adam_v[key[len("adam_v."):]] = arr
         else:
-            if arr.shape != params[key].data.shape:
-                raise ValueError(f"{path}: tensor {key!r} has shape {arr.shape}, "
-                                 f"expected {params[key].data.shape}")
             params[key].data = arr
     if pos != len(blob):
         raise ValueError(f"{path}: {len(blob) - pos} bytes after the last tensor dump")
 
     for name, cb in state.quantizer.codebooks().items():
-        if name not in manifest["counts"]:
-            raise ValueError(f"{path}: manifest counts lack codebook {name!r}")
-        _restore_counts(cb, manifest["counts"][name], f"{path}: codebook {name!r}")
+        try:
+            _restore_counts(cb, manifest["counts"][name], f"{path}: codebook {name!r}")
+        except KeyError as e:
+            raise ValueError(f"{path}: manifest counts for codebook {name!r} lack {e}") from None
     return state, manifest
 
 
@@ -162,10 +165,15 @@ class CsvLog:
 
 
 def read_rows(path: str) -> tuple[list[str], list[list[str]]]:
+    """Header and rows. A last row whose cell count differs from the
+    header's is the tail of an interrupted write and is dropped."""
     with open(path) as f:
         lines = [ln.rstrip("\n") for ln in f if ln.strip()]
     header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+    rows = [ln.split(",") for ln in lines[1:]]
+    if rows and len(rows[-1]) != len(header):
+        rows.pop()
+    return header, rows
 
 
 def truncate_to_step(path: str, max_step: int):

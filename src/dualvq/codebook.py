@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, gather_rows, mse_loss, stop_gradient, straight_through
+from .autodiff import (ShapeError, Tensor, as_tensor, gather_rows, mse_loss, stop_gradient,
+                       straight_through)
 from . import tensor_io
 
 CODEBOOK_MAGIC = b"DVQC"
@@ -97,19 +98,12 @@ def vq_terms(features: Tensor, z_q_values: Tensor, beta: float) -> tuple[Tensor,
     commitment_term (weighted by beta) pulls features toward frozen
     quantized values.
     """
-    features, z_q_values = _as_pair(features, z_q_values)
+    features, z_q_values = as_tensor(features), as_tensor(z_q_values)
+    if features.shape != z_q_values.shape:
+        raise ShapeError(f"vq_terms: shapes differ, {features.shape} vs {z_q_values.shape}")
     codebook_term = mse_loss(stop_gradient(features), z_q_values)
     commitment_term = beta * mse_loss(stop_gradient(z_q_values), features)
     return codebook_term, commitment_term
-
-
-def _as_pair(a, b):
-    from .autodiff import as_tensor
-
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"vq_terms: shapes differ, {a.shape} vs {b.shape}")
-    return a, b
 
 
 def quantize_st(features: Tensor, cb: Codebook, beta: float = 0.25,

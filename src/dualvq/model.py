@@ -1,20 +1,26 @@
 """Desk-scale VQ-GAN-style autoencoder around the dual quantizer.
 
-Encoder: stride-2 conv stack (one entry of ``enc_channels`` per halving)
-followed by a 3x3 projection to the latent width. Decoder mirrors it with
-transposed convs and a sigmoid output in [0,1]. The discriminator is a
-small patch-style conv stack emitting a logit grid. The generator
-objective is L1 reconstruction + quantization terms + an adaptively
-weighted adversarial term; the adversarial weight is the ratio of the two
-gradient norms measured at the decoder's final conv weight, clamped to
-``lambda_max``. Updates alternate generator/discriminator with Adam
-(beta1=0.5, beta2=0.9); the discriminator only trains from
+``layer_table`` writes the architecture once, as conv layer rows derived
+from ``TrainConfig``; ``init_model`` draws each row's ``<name>.w``/``.b``
+and ``encode``/``decode``/``discriminate`` walk the rows, one conv node
+per row with bias and activation fused in and the row name as its ``op``.
+Encoder: a stride-2 conv stack (one ``enc.down{i}`` per entry of
+``enc_channels``) and a 3x3 projection to the latent width. Decoder: the
+mirror image with transposed convs and a sigmoid output in [0,1].
+Discriminator: a small patch-style conv stack emitting a logit grid.
+
+The generator objective is L1 reconstruction + quantization terms + an
+adaptively weighted adversarial term; the adversarial weight is the ratio
+of the two gradient norms measured at the decoder's final conv weight,
+clamped to ``lambda_max``. Updates alternate generator/discriminator with
+Adam (beta1=0.5, beta2=0.9); the discriminator only trains from
 ``disc_start_step`` on, before which the adversarial weight is zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -27,10 +33,8 @@ from .autodiff import (
     conv_transpose2d,
     first_nonfinite,
     l1_loss,
-    leaky_relu,
     mul,
     relu,
-    sigmoid,
     softplus,
 )
 from .codebook import Codebook, usage_stats
@@ -152,8 +156,34 @@ class StepReport:
                    "perplexity_g", "perplexity_l", "active_g", "active_l")
 
     def csv_values(self):
-        return (self.step, self.l_rec, self.l_quant_g, self.l_quant_l, self.lambda_,
-                self.d_loss, self.perplexity_g, self.perplexity_l, self.active_g, self.active_l)
+        return astuple(self)
+
+
+# one conv layer, padded by 1, with a 4x4 kernel at stride 2 and 3x3 at stride 1
+Layer = namedtuple("Layer", "name transposed c_in c_out stride act")
+
+
+def _stack(prefix: str, widths: list, transposed: bool, act: str) -> list[Layer]:
+    """Stride-2 layers ``{prefix}{i}`` from widths[i] to widths[i + 1] channels."""
+    return [Layer(f"{prefix}{i}", transposed, a, b, 2, act)
+            for i, (a, b) in enumerate(zip(widths, widths[1:]))]
+
+
+def layer_table(config: TrainConfig) -> dict[str, list[Layer]]:
+    """Each network's conv layers in forward and parameter-draw order, keyed
+    by the name of the seeded stream the network draws from."""
+    enc = [3, *config.enc_channels]
+    dec = list(reversed(config.enc_channels))
+    disc = [3, *config.disc_channels]
+    return {
+        "enc": [*_stack("enc.down", enc, False, "relu"),
+                Layer("enc.proj", False, enc[-1], config.latent_channels, 1, None)],
+        "dec": [Layer("dec.in", False, config.latent_channels, dec[0], 1, "relu"),
+                *_stack("dec.up", dec + dec[-1:], True, "relu"),
+                Layer("dec.out", False, dec[-1], 3, 1, "sigmoid")],
+        "disc": [*_stack("disc.down", disc, False, "leaky_relu"),
+                 Layer("disc.out", False, disc[-1], 1, 1, None)],
+    }
 
 
 class ModelState:
@@ -163,6 +193,7 @@ class ModelState:
     def __init__(self, config: TrainConfig):
         config.validate()
         self.config = config
+        self.layers = layer_table(config)
         self.step = 0
         self.gen_params: dict[str, Tensor] = {}
         self.disc_params: dict[str, Tensor] = {}
@@ -186,52 +217,21 @@ class ModelState:
             self.adam_v[name] = np.zeros_like(p.data)
 
 
-def _conv_param(rng, c_out, c_in, k):
-    fan_in = c_in * k * k
-    w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(c_out, c_in, k, k))
-    return w, np.zeros((1, c_out, 1, 1))
-
-
-def _deconv_param(rng, c_in, c_out, k):
-    fan_in = c_in * k * k
-    w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(c_in, c_out, k, k))
-    return w, np.zeros((1, c_out, 1, 1))
-
-
 def init_model(config: TrainConfig) -> ModelState:
-    """Build a fresh model; every component draws from its own seeded stream."""
+    """Build a fresh model; every network and quantizer component draws from
+    its own seeded stream. A conv layer gets a He-normal kernel, with fan-in
+    from its input channels, and a zero bias."""
     state = ModelState(config)
     seed = config.seed
-
-    def register(group, name, arr):
-        t = Tensor(arr, requires_grad=True, op=name)
-        group[name] = t
-
-    rng = component_rng(seed, "enc")
-    c_prev = 3
-    for i, c in enumerate(config.enc_channels):
-        w, b = _conv_param(rng, c, c_prev, 4)
-        register(state.gen_params, f"enc.down{i}.w", w)
-        register(state.gen_params, f"enc.down{i}.b", b)
-        c_prev = c
-    w, b = _conv_param(rng, config.latent_channels, c_prev, 3)
-    register(state.gen_params, "enc.proj.w", w)
-    register(state.gen_params, "enc.proj.b", b)
-
-    rng = component_rng(seed, "dec")
-    rev = list(reversed(config.enc_channels))
-    w, b = _conv_param(rng, rev[0], config.latent_channels, 3)
-    register(state.gen_params, "dec.in.w", w)
-    register(state.gen_params, "dec.in.b", b)
-    for i in range(len(rev)):
-        c_in = rev[i]
-        c_out = rev[i + 1] if i + 1 < len(rev) else rev[-1]
-        w, b = _deconv_param(rng, c_in, c_out, 4)
-        register(state.gen_params, f"dec.up{i}.w", w)
-        register(state.gen_params, f"dec.up{i}.b", b)
-    w, b = _conv_param(rng, 3, rev[-1], 3)
-    register(state.gen_params, "dec.out.w", w)
-    register(state.gen_params, "dec.out.b", b)
+    for net, layers in state.layers.items():
+        rng = component_rng(seed, net)
+        group = state.disc_params if net == "disc" else state.gen_params
+        for layer in layers:
+            k = 4 if layer.stride == 2 else 3
+            io = (layer.c_in, layer.c_out) if layer.transposed else (layer.c_out, layer.c_in)
+            w = rng.normal(0.0, np.sqrt(2.0 / (layer.c_in * k * k)), size=(*io, k, k))
+            for name, arr in ((f"{layer.name}.w", w), (f"{layer.name}.b", np.zeros((1, layer.c_out, 1, 1)))):
+                group[name] = Tensor(arr, requires_grad=True, op=name)
 
     if config.quantizer_mode == "dual":
         kg, kl = config.resolved_codebooks()
@@ -247,20 +247,7 @@ def init_model(config: TrainConfig) -> ModelState:
         cb = Codebook(config.codebook_total, config.latent_channels,
                       rng=component_rng(seed, "cb_global"))
         state.quantizer = SingleQuantizerState(cb=cb, beta=config.beta)
-    for name, t in state.quantizer.named_params():
-        state.gen_params[name] = t
-
-    rng = component_rng(seed, "disc")
-    c_prev = 3
-    for i, c in enumerate(config.disc_channels):
-        w, b = _conv_param(rng, c, c_prev, 4)
-        register(state.disc_params, f"disc.down{i}.w", w)
-        register(state.disc_params, f"disc.down{i}.b", b)
-        c_prev = c
-    w, b = _conv_param(rng, 1, c_prev, 3)
-    register(state.disc_params, "disc.out.w", w)
-    register(state.disc_params, "disc.out.b", b)
-
+    state.gen_params.update(state.quantizer.named_params())
     state.init_adam()
     return state
 
@@ -268,44 +255,35 @@ def init_model(config: TrainConfig) -> ModelState:
 # -- forward passes ----------------------------------------------------------
 
 
+def _walk(params: dict[str, Tensor], layers: list[Layer], h: Tensor) -> Tensor:
+    for layer in layers:
+        conv = conv_transpose2d if layer.transposed else conv2d
+        h = conv(h, params[f"{layer.name}.w"], stride=layer.stride, pad=1,
+                 bias=params[f"{layer.name}.b"], act=layer.act)
+        h.op = layer.name
+    return h
+
+
 def encode(state: ModelState, x: Tensor) -> Tensor:
-    cfg = state.config
-    f = cfg.downsample_factor()
+    f = state.config.downsample_factor()
     if x.ndim != 4 or x.shape[1] != 3:
         raise ShapeError(f"encode: need (B,3,H,W), got {x.shape}")
     if x.shape[2] % f or x.shape[3] % f:
         raise ShapeError(f"encode: extents {x.shape[2]}x{x.shape[3]} not divisible by {f}")
-    h = x
-    for i in range(len(cfg.enc_channels)):
-        h = conv2d(h, state.gen_params[f"enc.down{i}.w"], stride=2, pad=1)
-        h = relu(h + state.gen_params[f"enc.down{i}.b"])
-    z = conv2d(h, state.gen_params["enc.proj.w"], stride=1, pad=1)
-    return z + state.gen_params["enc.proj.b"]
+    return _walk(state.gen_params, state.layers["enc"], x)
 
 
 def decode(state: ModelState, z_q: Tensor) -> Tensor:
     cfg = state.config
     if z_q.shape[1] != cfg.latent_channels:
         raise ShapeError(f"decode: expected {cfg.latent_channels} channels, got {z_q.shape}")
-    h = conv2d(z_q, state.gen_params["dec.in.w"], stride=1, pad=1)
-    h = relu(h + state.gen_params["dec.in.b"])
-    for i in range(len(cfg.enc_channels)):
-        h = conv_transpose2d(h, state.gen_params[f"dec.up{i}.w"], stride=2, pad=1)
-        h = relu(h + state.gen_params[f"dec.up{i}.b"])
-    out = conv2d(h, state.gen_params["dec.out.w"], stride=1, pad=1)
-    return sigmoid(out + state.gen_params["dec.out.b"])
+    return _walk(state.gen_params, state.layers["dec"], z_q)
 
 
 def discriminate(state: ModelState, x: Tensor) -> Tensor:
-    cfg = state.config
     if x.ndim != 4 or x.shape[1] != 3:
         raise ShapeError(f"discriminate: need (B,3,H,W), got {x.shape}")
-    h = x
-    for i in range(len(cfg.disc_channels)):
-        h = conv2d(h, state.disc_params[f"disc.down{i}.w"], stride=2, pad=1)
-        h = leaky_relu(h + state.disc_params[f"disc.down{i}.b"], 0.2)
-    logits = conv2d(h, state.disc_params["disc.out.w"], stride=1, pad=1)
-    return logits + state.disc_params["disc.out.b"]
+    return _walk(state.disc_params, state.layers["disc"], x)
 
 
 def quantize_latents(state: ModelState, z: Tensor, update_usage: bool = True):
@@ -413,7 +391,7 @@ def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
     d_fake = None
     if use_gan:
         d_fake = discriminate(state, x_hat)
-        last_w = state.gen_params["dec.out.w"]
+        last_w = state.gen_params[f"{state.layers['dec'][-1].name}.w"]
         # the probes only need the last layer's gradient
         state.zero_grads()
         backward(l1_loss(x, x_hat), wrt=[last_w])

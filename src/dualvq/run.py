@@ -135,9 +135,7 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
 
     best_l1 = float("inf")
     if resume is not None and os.path.exists(eval_path):
-        _, rows = read_rows(eval_path)
-        for r in rows:
-            best_l1 = min(best_l1, float(r[2]))
+        best_l1 = min((float(r[2]) for r in read_rows(eval_path)[1]), default=best_l1)
 
     steps_csv = CsvLog(steps_path, StepReport.CSV_COLUMNS)
     eval_csv = CsvLog(eval_path, EVAL_COLUMNS)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from dualvq import autodiff as ad
 from dualvq.autodiff import (
@@ -388,6 +389,57 @@ class TestConvGeometryGrid:
         finally:
             tracemalloc.stop()
         assert peak < 4 * (x.data.nbytes + out.data.nbytes)
+
+
+class TestFusedConv:
+    UNFUSED = {None: lambda t: t, "relu": relu, "leaky_relu": leaky_relu, "sigmoid": sigmoid}
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("act", [None, "relu", "leaky_relu", "sigmoid"])
+    @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
+    def test_bias_and_act_bit_exact_with_unfused_chain(self, op, act, stride):
+        rng = np.random.default_rng(70 + stride)
+        k = 4 if stride == 2 else 3
+        x = rng.normal(size=(2, 3, 6, 6))
+        w = rng.normal(size=(5, 3, k, k) if op is conv2d else (3, 5, k, k))
+        b = rng.normal(size=(1, 5, 1, 1))
+        g = rng.normal(size=op(Tensor(x), Tensor(w), stride=stride, pad=1).shape)
+
+        def run(fused, wrt_w):
+            ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+            if fused:
+                y = op(ts[0], ts[1], stride=stride, pad=1, bias=ts[2], act=act)
+            else:
+                y = self.UNFUSED[act](op(ts[0], ts[1], stride=stride, pad=1) + ts[2])
+            backward(weighted(y, g), wrt=[ts[1]] if wrt_w else None)
+            return y.data, [t.grad for t in ts]
+
+        for wrt_w in (False, True):
+            y_f, grads_f = run(True, wrt_w)
+            y_u, grads_u = run(False, wrt_w)
+            assert np.array_equal(y_f, y_u)
+            # a pass restricted to w leaves x and b without a gradient
+            assert [t is None for t in grads_f] == [t is None for t in grads_u] == [wrt_w, False, wrt_w]
+            for got, want in zip(grads_f, grads_u):
+                assert want is None or np.array_equal(got, want)
+
+    def test_activations_keep_their_expressions(self):
+        # fused and standalone activations share one table; pin its arithmetic
+        rng = np.random.default_rng(72)
+        x, g = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+        s = expit(x)
+        for fn, y, gx in ((relu, np.maximum(x, 0.0), g * (x > 0.0)),
+                          (leaky_relu, np.where(x > 0.0, x, 0.2 * x), g * np.where(x > 0.0, 1.0, 0.2)),
+                          (sigmoid, s, g * s * (1.0 - s))):
+            t = Tensor(x, requires_grad=True)
+            out = fn(t)
+            backward(weighted(out, g))
+            assert np.array_equal(out.data, y) and np.array_equal(t.grad, gx), fn.__name__
+
+    def test_bias_shape_checked(self):
+        x, w = Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3)))
+        with pytest.raises(ShapeError, match="bias"):
+            conv2d(x, w, pad=1, bias=np.zeros((3,)))
 
 
 class TestNormActivations:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import pytest
 
 from dualvq.autodiff import NonFiniteError, ShapeError, Tensor, backward, l1_loss, stop_gradient
 from dualvq.checkpoint import CHECKPOINT_FILE, load_checkpoint, save_checkpoint
+from dualvq.tensor_io import array_to_bytes, bytes_to_array
 from dualvq.data import batch_indices, synth_dataset
 from dualvq.model import (
     ADAM_EPS,
@@ -36,6 +38,22 @@ def desk_config(**overrides):
 
 def tiny_batch(seed=0, n=4, size=32):
     return synth_dataset(seed, n, size)
+
+
+class TestLayerTable:
+    @pytest.mark.parametrize("overrides,digest", [
+        ({}, "7d84e822b7d50ed9baac90588ceab7be00416d37ab0afe776bd3fad8e0e48698"),
+        ({"enc_channels": (24, 48, 64)},
+         "273f8cee534c9b13c9382ee61c15d83cd83eb743d36f94819bca9ceba66dc1c4"),
+    ])
+    def test_init_params_pinned(self, overrides, digest):
+        # names, order, shapes and bytes of every parameter: the draw order
+        # and the checkpoint key order the table walk must keep
+        h = hashlib.sha256()
+        for name, t in init_model(TrainConfig(**overrides)).all_params():
+            h.update(f"{name}:{t.data.shape};".encode())
+            h.update(t.data.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestShapes:
@@ -301,6 +319,12 @@ class TestTrainingStep:
             training_step(state, tiny_batch(seed=14, n=4))
         assert "op=" in str(ei.value)
 
+    def test_nonfinite_abort_names_layer(self):
+        state = init_model(desk_config(seed=14))
+        state.gen_params["enc.down0.w"].data[...] = 1e308
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=r"op='enc\.down0'"):
+            training_step(state, tiny_batch(seed=14, n=4))
+
     def test_single_mode_columns(self):
         cfg = desk_config(seed=15, quantizer_mode="single", disc_start_step=5)
         _, reports = run_steps(cfg, 6)
@@ -375,9 +399,18 @@ class TestCheckpointRoundTrip:
         short_counts = with_manifest(counts={**manifest["counts"], "local": short})
         keys = [k.replace("enc.proj.b", "enc.proj.bias") for k in manifest["tensors"]]
         narrower = with_manifest(config={**manifest["config"], "enc_channels": [24, 40]})
+        no_total = {k: v for k, v in manifest["counts"]["local"].items() if k != "window_total"}
+        no_window_total = with_manifest(counts={**manifest["counts"], "local": no_total})
+        refused_config = with_manifest(config={**manifest["config"], "latent_channels": 0})
+        arrays, pos = [], 0
+        for key in manifest["tensors"]:
+            arr, pos = bytes_to_array(dumps, pos)
+            arrays.append(np.zeros(1) if key == "adam_m.dec.out.w" else arr)
+        bad_moment = line + b"\n" + b"".join(array_to_bytes(a) for a in arrays)
         for bad in (blob[:-8], line, blob + b"\0" * 8, b"{" + blob,
                     with_manifest(drop=["step"]), renamed, unknown_key, no_local, short_counts,
-                    with_manifest(tensors=keys), narrower, old_format):
+                    with_manifest(tensors=keys), narrower, no_window_total,
+                    with_manifest(step="ten"), refused_config, bad_moment, old_format):
             path.write_bytes(bad)
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 load_checkpoint(str(tmp_path / "ck"))

@@ -6,12 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from dualvq.checkpoint import CHECKPOINT_FILE, load_checkpoint, read_rows, save_checkpoint
+from dualvq.checkpoint import (CHECKPOINT_FILE, CsvLog, load_checkpoint, read_rows, save_checkpoint,
+                               truncate_to_step)
 from dualvq.codebook import load_codebook
 from dualvq.config import ConfigError, config_from_dict, experiment_hash
 from dualvq.data import batch_indices, build_dataset, split_dataset
 from dualvq.metrics import load_utilization
-from dualvq.model import training_step
+from dualvq.model import StepReport, training_step
 from dualvq.run import export_codebook, run_ablation, run_eval, run_train
 
 
@@ -95,6 +96,37 @@ class TestRunTrain:
         full_eval = open(os.path.join(tmp_path, "full", "eval.csv")).read()
         part_eval = open(os.path.join(tmp_path, "part", "eval.csv")).read()
         assert full_eval == part_eval
+
+    def test_truncate_drops_a_cut_last_row_at_every_offset(self, tmp_path):
+        path = str(tmp_path / "steps.csv")
+        log = CsvLog(path, StepReport.CSV_COLUMNS)
+        for step in range(1, 17):
+            log.append((step, *(0.1 * step + 1.0 / k for k in range(1, 10))))
+        log.close()
+        text = open(path).read()
+        kept, last = text[: text.rindex("\n", 0, -1) + 1], text[text.rindex("\n", 0, -1) + 1 :]
+        assert last.startswith("16,")
+        for cut in range(1, len(last)):
+            with open(path, "w") as f:
+                f.write(kept + last[:cut])
+            truncate_to_step(path, 15)
+            assert open(path).read() == kept, repr(last[:cut])
+
+    def test_resume_after_a_one_byte_row_fragment(self, tmp_path):
+        run_train(config_from_dict(small_raw(tmp_path / "full", steps=16)))
+        cfg = config_from_dict(small_raw(tmp_path / "part", steps=16))
+        last = os.path.join(run_train(cfg, stop_after=10).out_dir, "checkpoints", "last")
+        # a crash inside an append leaves the first byte of a row: steps.csv's
+        # row 10 is cut to "1", and eval.csv ends in "1" of a later row
+        steps_path = tmp_path / "part" / "steps.csv"
+        text = steps_path.read_text()
+        assert text.endswith("\n") and text.splitlines()[-1].startswith("10,")
+        steps_path.write_text(text[: text.rindex("\n", 0, -1) + 1] + "1")
+        with open(tmp_path / "part" / "eval.csv", "a") as f:
+            f.write("1")
+        run_train(config_from_dict(small_raw(tmp_path / "part", steps=16)), resume=last)
+        for name in ("steps.csv", "eval.csv"):
+            assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
     def test_torn_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         """A save that fails at any of its renames leaves the step-A checkpoint
