@@ -15,15 +15,7 @@ from .dual_quantizer import (
     quantize_single,
     split_channels,
 )
-from .metrics import (
-    UtilizationReport,
-    compression_ratio,
-    emit_utilization,
-    frechet_gaussian,
-    l1_metric,
-    l2_metric,
-    psnr,
-)
+from .metrics import compression_ratio, emit_utilization, frechet_gaussian, l1_metric, l2_metric, psnr
 from .model import (
     ModelState,
     StepReport,
@@ -55,7 +47,6 @@ __all__ = [
     "TrainConfig",
     "TransformerConfig",
     "TransformerParams",
-    "UtilizationReport",
     "adaptive_lambda",
     "backward",
     "compression_ratio",

@@ -1,13 +1,14 @@
 """Checkpoint directories and the step-metrics CSV.
 
 A checkpoint is a directory holding the one file ``CHECKPOINT_FILE``: a
-manifest line of compact sorted JSON (format version, config echo with
-the seed, step, optimizer and usage counters, and ``tensors``, the list of
-tensor keys), then one ``tensor_io`` dump per key in that order, ending
-exactly after the last. State keys (``global_cb``, ``tf.layer{i}.*``, ...)
-are kept; Adam moments are ``adam_m.<key>``/``adam_v.<key>``; usage
-counters are stored under the names ``codebooks()`` gives. One
-``atomic_write_bytes`` renames the whole file into place, so an
+manifest line of compact sorted JSON (format version 4, config echo with
+the seed, step, optimizer counters, usage ``counts`` and ``tensors``, the
+list of tensor keys), then one ``tensor_io`` dump per key in that order,
+ending exactly after the last. State keys (``global_cb``,
+``tf.layer{i}.*``, ...) are kept; Adam moments are
+``adam_m.<key>``/``adam_v.<key>``; ``counts`` maps each name
+``codebooks()`` gives to its ``window`` and ``cumulative`` count vectors.
+One ``atomic_write_bytes`` renames the whole file into place, so an
 interrupted save leaves the previous checkpoint intact, never a mix of old
 and new tensors.
 """
@@ -22,31 +23,19 @@ import numpy as np
 from . import tensor_io
 from .model import ModelState, TrainConfig, init_model
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 CHECKPOINT_FILE = "checkpoint.dvq"
 _MANIFEST_KEYS = {"step", "config", "adam_t_gen", "adam_t_disc", "counts", "tensors"}
 
 
-def _counts_blob(cb):
-    return {
-        "window": [int(v) for v in cb.window_counts],
-        "cumulative": [int(v) for v in cb.counts],
-        "window_total": cb.window_total,
-        "total": cb.total_assignments,
-    }
-
-
 def _restore_counts(cb, blob, where):
-    window = np.asarray(blob["window"], dtype=np.uint64)
-    cumulative = np.asarray(blob["cumulative"], dtype=np.uint64)
-    for name, v in (("window", window), ("cumulative", cumulative)):
-        if v.shape != (cb.n_entries,):
-            raise ValueError(f"{where}: {name} counts have shape {v.shape}, "
-                             f"expected ({cb.n_entries},)")
-    cb.window_counts = window
-    cb.counts = cumulative
-    cb.window_total = int(blob["window_total"])
-    cb.total_assignments = int(blob["total"])
+    for name in ("window", "cumulative"):
+        v = blob[name]
+        if not (isinstance(v, list) and len(v) == cb.n_entries
+                and all(type(c) is int and 0 <= c < 2**64 for c in v)):
+            raise ValueError(f"{where}: {name} counts are not {cb.n_entries} non-negative integers")
+    cb.window_counts = np.array(blob["window"], dtype=np.uint64)
+    cb.counts = np.array(blob["cumulative"], dtype=np.uint64)
 
 
 def save_checkpoint(state: ModelState, dirpath: str, experiment: dict | None = None,
@@ -62,7 +51,8 @@ def save_checkpoint(state: ModelState, dirpath: str, experiment: dict | None = N
         "config": state.config.to_dict(),
         "adam_t_gen": state.adam_t_gen,
         "adam_t_disc": state.adam_t_disc,
-        "counts": {name: _counts_blob(cb) for name, cb in state.quantizer.codebooks().items()},
+        "counts": {name: {"window": cb.window_counts.tolist(), "cumulative": cb.counts.tolist()}
+                   for name, cb in state.quantizer.codebooks().items()},
         "tensors": list(tensors),
     }
     if experiment is not None:

@@ -25,7 +25,9 @@ NEAREST_BLOCK_ELEMS = 1 << 19
 
 
 class Codebook:
-    """K learnable code vectors of dimension d plus assignment counters.
+    """K learnable code vectors of dimension d plus two uint64[K] assignment
+    histograms, the only usage state: every total, perplexity and active
+    fraction is derived from them.
 
     ``window_counts`` reset at epoch boundaries; ``counts`` accumulate for
     the life of the run and feed the final utilization report.
@@ -48,19 +50,14 @@ class Codebook:
         self.dim = dim
         self.counts = np.zeros(n_entries, dtype=np.uint64)
         self.window_counts = np.zeros(n_entries, dtype=np.uint64)
-        self.total_assignments = 0
-        self.window_total = 0
 
     def record(self, indices: np.ndarray):
         binned = np.bincount(indices, minlength=self.n_entries).astype(np.uint64)
         self.counts += binned
         self.window_counts += binned
-        self.total_assignments += int(indices.size)
-        self.window_total += int(indices.size)
 
     def reset_window(self):
         self.window_counts[:] = 0
-        self.window_total = 0
 
 
 @dataclass
@@ -135,9 +132,10 @@ def usage_stats(cb: Codebook) -> tuple[float, float]:
     assigned); active_fraction is the share of entries used at least once.
     """
     active = float(np.count_nonzero(cb.counts)) / cb.n_entries
-    if cb.total_assignments == 0:
+    total = int(cb.counts.sum())
+    if total == 0:
         return 0.0, active
-    p = cb.counts.astype(np.float64) / cb.total_assignments
+    p = cb.counts.astype(np.float64) / total
     nz = p[p > 0]
     entropy = -(nz * np.log(nz)).sum()
     return float(np.exp(entropy)), active
@@ -157,11 +155,14 @@ def load_codebook(path: str) -> Codebook:
     if len(blob) < 12 or blob[:4] != CODEBOOK_MAGIC:
         raise ValueError(f"{path}: bad or cut 12-byte codebook dump header {blob[:12]!r}")
     k, d = struct.unpack_from("<II", blob, 4)
-    entries, pos = tensor_io.bytes_to_array(blob, 12)
+    try:
+        entries, pos = tensor_io.bytes_to_array(blob, 12)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    if entries.shape != (k, d):
+        raise ValueError(f"{path}: entries dump has shape {entries.shape}, header says ({k}, {d})")
     if len(blob) != pos + 8 * k:
         raise ValueError(f"{path}: codebook dump is {len(blob)} bytes, expected {pos + 8 * k}")
-    counts = np.frombuffer(blob[pos:], dtype="<u8").astype(np.uint64)
     cb = Codebook(k, d, entries=entries)
-    cb.counts = counts.copy()
-    cb.total_assignments = int(counts.sum())
+    cb.counts = np.frombuffer(blob[pos:], dtype="<u8").astype(np.uint64)
     return cb

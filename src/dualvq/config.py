@@ -61,6 +61,12 @@ _DATASET_FIELDS = {"kind", "seed", "n", "size", "path"}
 _GRID_FIELDS = {"split_global", "split_local", "transformer_on", "codebook_total", "label"}
 
 
+def _integer(value, key: str) -> int:
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _fill_defaults(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - _TRAIN_FIELDS - _TOP_FIELDS
     if unknown:
@@ -68,10 +74,14 @@ def _fill_defaults(raw: dict) -> ExperimentConfig:
     train_kwargs = {k: v for k, v in raw.items() if k in _TRAIN_FIELDS}
     try:
         train = TrainConfig.from_dict(train_kwargs)
-    except TypeError as e:
+        train.validate()
+    except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from None
 
-    dataset = dict(raw.get("dataset") or {})
+    dataset = raw.get("dataset") or {}
+    if not isinstance(dataset, dict):
+        raise ConfigError(f"dataset must be an object, got {dataset!r}")
+    dataset = dict(dataset)
     unknown = set(dataset) - _DATASET_FIELDS
     if unknown:
         raise ConfigError(f"unknown dataset keys: {sorted(unknown)}")
@@ -80,39 +90,38 @@ def _fill_defaults(raw: dict) -> ExperimentConfig:
         dataset.setdefault("seed", train.seed)
         dataset.setdefault("n", 256)
         dataset.setdefault("size", train.image_size)
-        if int(dataset["size"]) != train.image_size:
+        for k in ("seed", "n", "size"):
+            _integer(dataset[k], f"dataset {k}")
+        if dataset["size"] != train.image_size:
             raise ConfigError(
                 f"dataset size {dataset['size']} does not match image_size {train.image_size}"
             )
     elif dataset["kind"] == "ppm_dir":
-        if "path" not in dataset:
-            raise ConfigError("dataset kind 'ppm_dir' needs a 'path'")
+        if type(dataset.get("path")) is not str:
+            raise ConfigError("dataset kind 'ppm_dir' needs a 'path' string")
     else:
         raise ConfigError(f"unknown dataset kind {dataset['kind']!r}")
 
     grid = []
     for i, entry in enumerate(raw.get("grid") or []):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"grid entry {i} must be an object, got {entry!r}")
         unknown = set(entry) - _GRID_FIELDS
         if unknown:
             raise ConfigError(f"grid entry {i}: unknown keys {sorted(unknown)}")
         missing = {"split_global", "split_local", "transformer_on", "codebook_total"} - set(entry)
         if missing:
             raise ConfigError(f"grid entry {i}: missing keys {sorted(missing)}")
-        grid.append(GridEntry(split_global=int(entry["split_global"]),
-                              split_local=int(entry["split_local"]),
-                              transformer_on=bool(entry["transformer_on"]),
-                              codebook_total=int(entry["codebook_total"]),
+        ints = {k: _integer(entry[k], f"grid entry {i}: {k}")
+                for k in ("split_global", "split_local", "codebook_total")}
+        grid.append(GridEntry(**ints, transformer_on=bool(entry["transformer_on"]),
                               label=str(entry.get("label", f"grid{i}"))))
 
     cfg = ExperimentConfig(train=train, dataset=dataset,
-                           eval_every=int(raw.get("eval_every", 100)),
+                           eval_every=_integer(raw.get("eval_every", 100), "eval_every"),
                            out_dir=raw.get("out_dir"), grid=grid)
     if cfg.eval_every < 1:
         raise ConfigError(f"eval_every must be positive, got {cfg.eval_every}")
-    try:
-        train.validate()
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
     for i, g in enumerate(cfg.grid):
         derived = apply_grid_entry(cfg, g)
         try:

@@ -1,5 +1,6 @@
-"""Reconstruction metrics, codebook-utilization reporting, and a
-closed-form Gaussian Fréchet distance.
+"""Reconstruction metrics, the codebook-utilization report (every figure
+derived from each codebook's cumulative counts), and a closed-form
+Gaussian Fréchet distance.
 
 The Fréchet distance here acts on the model's quantized latents; it is
 NOT Inception-FID and its values are not comparable to Inception-based
@@ -10,12 +11,11 @@ returns +inf for identical inputs (serialized as the string "inf").
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor_io
-from .codebook import Codebook, usage_stats
+from .codebook import usage_stats
 
 
 def _check_same_shape(x, x_hat, what):
@@ -106,76 +106,25 @@ def gaussian_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # -- utilization reporting --------------------------------------------------------
 
 
-@dataclass
-class CodebookSeries:
-    name: str
-    n_entries: int
-    counts: list
-    total_assignments: int
-    perplexity: float
-    active_fraction: float
-
-
-@dataclass
-class UtilizationReport:
-    series: list
-    step: int
-    config_hash: str
-
-    def validate(self):
-        for s in self.series:
-            if sum(s.counts) != s.total_assignments:
-                raise ValueError(f"series {s.name}: histogram sums to {sum(s.counts)}, "
-                                 f"not {s.total_assignments}")
-            if not 0.0 <= s.active_fraction <= 1.0:
-                raise ValueError(f"series {s.name}: active_fraction {s.active_fraction}")
-
-
-def series_from_codebook(name: str, cb: Codebook) -> CodebookSeries:
-    perp, active = usage_stats(cb)
-    return CodebookSeries(name=name, n_entries=cb.n_entries,
-                          counts=[int(v) for v in cb.counts],
-                          total_assignments=cb.total_assignments,
-                          perplexity=perp, active_fraction=active)
-
-
-def emit_utilization(report: UtilizationReport, path_stem: str) -> tuple[str, str]:
-    """Write ``<stem>.json`` and ``<stem>.csv``; returns both paths."""
-    report.validate()
+def emit_utilization(codebooks: dict, step: int, config_hash: str,
+                     path_stem: str) -> tuple[str, str]:
+    """Write ``<stem>.json`` (per codebook: size, total, perplexity, active
+    fraction and the cumulative histogram, all derived from ``counts``) and
+    ``<stem>.csv`` (one row per entry); returns both paths."""
     json_path = f"{path_stem}.json"
     csv_path = f"{path_stem}.csv"
-    blob = {
-        "step": report.step,
-        "config_hash": report.config_hash,
-        "series": [
-            {
-                "name": s.name,
-                "n_entries": s.n_entries,
-                "total_assignments": s.total_assignments,
-                "perplexity": s.perplexity,
-                "active_fraction": s.active_fraction,
-                "counts": s.counts,
-            }
-            for s in report.series
-        ],
-    }
-    tensor_io.atomic_write_bytes(json_path, json.dumps(blob, indent=1).encode())
+    series = []
     lines = ["codebook,entry_id,count"]
-    for s in report.series:
-        for k, c in enumerate(s.counts):
-            lines.append(f"{s.name},{k},{c}")
+    for name, cb in codebooks.items():
+        perp, active = usage_stats(cb)
+        counts = cb.counts.tolist()
+        series.append({"name": name, "n_entries": cb.n_entries, "total_assignments": sum(counts),
+                       "perplexity": perp, "active_fraction": active, "counts": counts})
+        lines += [f"{name},{k},{c}" for k, c in enumerate(counts)]
+    blob = {"step": step, "config_hash": config_hash, "series": series}
+    tensor_io.atomic_write_bytes(json_path, json.dumps(blob, indent=1).encode())
     tensor_io.atomic_write_bytes(csv_path, ("\n".join(lines) + "\n").encode())
     return json_path, csv_path
-
-
-def load_utilization(json_path: str) -> UtilizationReport:
-    with open(json_path, "rb") as f:
-        blob = json.loads(f.read())
-    series = [CodebookSeries(name=s["name"], n_entries=s["n_entries"], counts=list(s["counts"]),
-                             total_assignments=s["total_assignments"], perplexity=s["perplexity"],
-                             active_fraction=s["active_fraction"])
-              for s in blob["series"]]
-    return UtilizationReport(series=series, step=blob["step"], config_hash=blob["config_hash"])
 
 
 def sanitize_for_json(obj):

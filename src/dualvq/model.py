@@ -92,6 +92,12 @@ class TrainConfig:
         return kg, self.codebook_total - kg
 
     def validate(self):
+        for f_ in fields(self):
+            v, want = getattr(self, f_.name), type(f_.default)
+            if (not isinstance(v, (int, float) if want is float else want)
+                    or isinstance(v, bool) != (want is bool)
+                    or want is tuple and not all(type(c) is int for c in v)):
+                raise ValueError(f"config field {f_.name} must be of type {want.__name__}, got {v!r}")
         for name in ("steps", "batch", "image_size", "latent_channels", "codebook_total",
                      "tf_layers", "tf_heads", "tf_ff_dim"):
             if getattr(self, name) < 1:
@@ -134,7 +140,7 @@ class TrainConfig:
     def from_dict(cls, d: dict) -> "TrainConfig":
         kwargs = dict(d)
         for name in ("enc_channels", "disc_channels"):
-            if name in kwargs and kwargs[name] is not None:
+            if isinstance(kwargs.get(name), list):
                 kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
 

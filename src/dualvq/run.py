@@ -22,17 +22,8 @@ from .codebook import dump_codebook, usage_stats
 from .config import (ConfigError, ExperimentConfig, apply_grid_entry, config_from_dict,
                       experiment_hash, write_echo)
 from .data import batch_indices, build_dataset, epoch_of_step, split_dataset
-from .metrics import (
-    UtilizationReport,
-    emit_utilization,
-    frechet_gaussian,
-    gaussian_stats,
-    l1_metric,
-    l2_metric,
-    psnr,
-    sanitize_for_json,
-    series_from_codebook,
-)
+from .metrics import (emit_utilization, frechet_gaussian, gaussian_stats, l1_metric, l2_metric,
+                      psnr, sanitize_for_json)
 from .model import ModelState, StepReport, init_model, quantize_images, reconstruct, training_step
 
 EVAL_COLUMNS = ("step", "psnr", "l1", "l2", "fid_star")
@@ -92,11 +83,6 @@ def evaluate_state(state: ModelState, images: np.ndarray) -> dict:
         "fid_star": fid,
         "fid_note": "Gaussian Frechet distance on model features; not Inception-FID",
     }
-
-
-def _utilization_report(state: ModelState, exp_hash: str) -> UtilizationReport:
-    series = [series_from_codebook(name, cb) for name, cb in state.quantizer.codebooks().items()]
-    return UtilizationReport(series=series, step=state.step, config_hash=exp_hash)
 
 
 def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = False,
@@ -172,8 +158,8 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
     save_checkpoint(state, final_dir, experiment=cfg.to_dict(), experiment_hash=exp_hash)
     if not os.path.exists(os.path.join(best_dir, CHECKPOINT_FILE)):
         save_checkpoint(state, best_dir, experiment=cfg.to_dict(), experiment_hash=exp_hash)
-    report = _utilization_report(state, exp_hash)
-    util_json, util_csv = emit_utilization(report, os.path.join(out_dir, "utilization"))
+    util_json, util_csv = emit_utilization(state.quantizer.codebooks(), state.step, exp_hash,
+                                           os.path.join(out_dir, "utilization"))
     return RunResult(out_dir=out_dir, steps_csv=steps_path, eval_csv=eval_path,
                      final_checkpoint=final_dir, best_checkpoint=best_dir,
                      utilization_json=util_json, utilization_csv=util_csv, last_eval=last_eval)

@@ -1,5 +1,10 @@
+import math
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualvq import codebook
 from dualvq.autodiff import ShapeError, Tensor, backward, mul, stop_gradient
@@ -12,6 +17,8 @@ from dualvq.codebook import (
     usage_stats,
     vq_terms,
 )
+from dualvq.checkpoint import load_checkpoint, save_checkpoint
+from dualvq.model import TrainConfig, init_model
 
 
 def make_cb(entries):
@@ -160,10 +167,10 @@ class TestQuantizeST:
         cb = make_cb([[0.0], [1.0]])
         quantize_st(Tensor(np.array([[0.1], [0.9], [1.2]])), cb)
         assert cb.counts.tolist() == [1, 2]
-        assert cb.total_assignments == 3
-        assert int(cb.counts.sum()) == cb.total_assignments
+        assert int(cb.counts.sum()) == 3
         quantize_st(Tensor(np.array([[0.0]])), cb, update_usage=False)
-        assert cb.total_assignments == 3
+        assert cb.counts.tolist() == [1, 2]
+        assert cb.window_counts.tolist() == [1, 2]
 
     def test_window_reset_keeps_cumulative(self):
         cb = make_cb([[0.0], [1.0]])
@@ -261,7 +268,7 @@ class TestDump:
         assert back.n_entries == 6 and back.dim == 3
         assert np.array_equal(back.entries.data, cb.entries.data)
         assert np.array_equal(back.counts, cb.counts)
-        assert back.total_assignments == cb.total_assignments
+        assert back.counts.dtype == np.uint64 and int(back.counts.sum()) == 50
 
     def test_wrong_length_dump_rejected(self, tmp_path):
         cb = make_cb(np.random.default_rng(43).normal(size=(8, 3)))
@@ -278,7 +285,42 @@ class TestDump:
         path = tmp_path / "cb.dvqc"
         dump_codebook(cb, str(path))
         blob = path.read_bytes()
-        for n in range(12):
-            path.write_bytes(blob[:n])
+        wrong_dims = blob[:4] + struct.pack("<II", 4, 2) + blob[12:]  # header (4, 2), entries (4, 3)
+        for bad in [blob[:n] for n in range(12)] + [wrong_dims, blob[:40]]:  # 40: cut in entries
+            path.write_bytes(bad)
             with pytest.raises(ValueError, match="cb.dvqc"):
                 load_codebook(str(path))
+
+
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(1, 24), data=st.data())
+def test_usage_state_is_two_histograms(k, data):
+    """Under any sequence of record/reset_window calls the two count vectors
+    are bincounts, usage_stats follows from them, and a checkpoint keeps them."""
+    ops = data.draw(st.lists(st.none() | st.lists(st.integers(0, k - 1), max_size=20), max_size=8))
+    state = init_model(TrainConfig(quantizer_mode="single", codebook_total=k, image_size=8,
+                                   enc_channels=(2,), disc_channels=(2,), latent_channels=2))
+    cb = state.quantizer.codebooks()["global"]
+    seen, window = [], []
+    for op in ops:
+        if op is None:
+            cb.reset_window()
+            window = []
+        else:
+            cb.record(np.array(op, dtype=np.int64))
+            seen += op
+            window += op
+    hist = [seen.count(i) for i in range(k)]
+    assert cb.counts.dtype == cb.window_counts.dtype == np.uint64
+    assert cb.counts.tolist() == hist
+    assert cb.window_counts.tolist() == [window.count(i) for i in range(k)]
+    perp, active = usage_stats(cb)
+    assert active == sum(c > 0 for c in hist) / k
+    n = len(seen)
+    entropy = -sum(c / n * math.log(c / n) for c in hist if c)
+    assert perp == 0.0 if n == 0 else math.isclose(perp, math.exp(entropy), rel_tol=1e-12)
+    with tempfile.TemporaryDirectory() as d:
+        save_checkpoint(state, d)
+        back = load_checkpoint(d)[0].quantizer.codebooks()["global"]
+    for a, b in ((cb.counts, back.counts), (cb.window_counts, back.window_counts)):
+        assert b.dtype == np.uint64 and a.tobytes() == b.tobytes()

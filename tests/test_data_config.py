@@ -140,6 +140,14 @@ class TestConfig:
         with pytest.raises(ConfigError) as ei:
             load_config(str(path))
         assert "learning_rte" in str(ei.value)
+        for raw, key in (({"learning_rate": "fast"}, "learning_rate"), ({"batch": 2.5}, "batch"),
+                         ({"enc_channels": [24, "a"]}, "enc_channels"),
+                         ({"transformer_on": 1}, "transformer_on"), ({"seed": True}, "seed"),
+                         ({"dataset": {"n": 2.5}}, "dataset n"), ({"dataset": "abc"}, "dataset"),
+                         ({"dataset": {"kind": "ppm_dir", "path": 5}}, "path"),
+                         ({"enc_channels": 5}, "enc_channels"), ({"grid": [5]}, "grid entry 0")):
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict({"seed": 1, **raw})
 
     def test_split_mismatch_names_both_values(self):
         with pytest.raises(ConfigError) as ei:

@@ -1,23 +1,20 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from dualvq.codebook import Codebook
+from dualvq.codebook import Codebook, usage_stats
 from dualvq.metrics import (
-    CodebookSeries,
-    UtilizationReport,
     compression_ratio,
     emit_utilization,
     frechet_gaussian,
     gaussian_stats,
     l1_metric,
     l2_metric,
-    load_utilization,
     psnr,
     sanitize_for_json,
-    series_from_codebook,
 )
 
 
@@ -112,47 +109,56 @@ class TestFrechet:
 
 
 class TestUtilization:
-    def make_report(self):
+    def make_codebooks(self):
         cb_g = Codebook(4, 2, entries=np.zeros((4, 2)))
         cb_g.record(np.array([0, 0, 1, 2]))
         cb_l = Codebook(8, 2, entries=np.zeros((8, 2)))
         cb_l.record(np.array([5, 5, 5]))
-        return UtilizationReport(
-            series=[series_from_codebook("global", cb_g), series_from_codebook("local", cb_l)],
-            step=42, config_hash="abc123")
+        return {"global": cb_g, "local": cb_l}
+
+    def emit(self, tmp_path, codebooks=None):
+        jp, cp = emit_utilization(codebooks or self.make_codebooks(), 42, "abc123",
+                                  str(tmp_path / "util"))
+        return json.load(open(jp)), open(cp).read()
 
     def test_roundtrip(self, tmp_path):
-        report = self.make_report()
-        jp, cp = emit_utilization(report, str(tmp_path / "util"))
-        back = load_utilization(jp)
-        assert back == report
+        codebooks = self.make_codebooks()
+        blob, _ = self.emit(tmp_path, codebooks)
+        assert (blob["step"], blob["config_hash"]) == (42, "abc123")
+        assert [s["name"] for s in blob["series"]] == ["global", "local"]
+        for s, cb in zip(blob["series"], codebooks.values()):
+            assert list(s) == ["name", "n_entries", "total_assignments", "perplexity",
+                               "active_fraction", "counts"]
+            assert s["counts"] == cb.counts.tolist()
+            assert s["total_assignments"] == int(cb.counts.sum())
+            assert (s["perplexity"], s["active_fraction"]) == usage_stats(cb)
+
+    def test_bytes_pinned(self, tmp_path):
+        emit_utilization(self.make_codebooks(), 42, "abc123", str(tmp_path / "util"))
+        digests = {ext: hashlib.sha256((tmp_path / f"util.{ext}").read_bytes()).hexdigest()
+                   for ext in ("json", "csv")}
+        assert digests == {
+            "json": "b3fb0cf1095a6e6da2d6be6081f976f2214779bf22017c075a6f8c1f35e0dfd8",
+            "csv": "7670404843cedcf1fb9304d3f5520af289ac34083bafa83aa0ed558a89f7f7e8",
+        }
 
     def test_csv_layout(self, tmp_path):
-        report = self.make_report()
-        _, cp = emit_utilization(report, str(tmp_path / "util"))
-        lines = open(cp).read().strip().split("\n")
+        _, csv = self.emit(tmp_path)
+        lines = csv.strip().split("\n")
         assert lines[0] == "codebook,entry_id,count"
         assert lines[1] == "global,0,2"
         assert len(lines) == 1 + 4 + 8
 
     def test_two_series_independent_k(self, tmp_path):
-        report = self.make_report()
-        jp, _ = emit_utilization(report, str(tmp_path / "util"))
-        blob = json.load(open(jp))
+        blob, _ = self.emit(tmp_path)
         ks = {s["name"]: s["n_entries"] for s in blob["series"]}
         assert ks == {"global": 4, "local": 8}
 
-    def test_collapsed_fraction(self):
+    def test_collapsed_fraction(self, tmp_path):
         cb = Codebook(32, 2, entries=np.zeros((32, 2)))
         cb.record(np.zeros(100, dtype=np.int64))
-        s = series_from_codebook("global", cb)
-        assert s.active_fraction == 0.03125
-
-    def test_validation_catches_bad_histogram(self):
-        bad = UtilizationReport(series=[CodebookSeries("g", 2, [1, 1], 5, 1.0, 1.0)],
-                                step=0, config_hash="x")
-        with pytest.raises(ValueError):
-            bad.validate()
+        blob, _ = self.emit(tmp_path, {"global": cb})
+        assert blob["series"][0]["active_fraction"] == 0.03125
 
 
 class TestCompression:

@@ -392,15 +392,18 @@ class TestCheckpointRoundTrip:
             return json.dumps({**kept, **extra}).encode() + b"\n" + dumps
 
         renamed = with_manifest(drop=["adam_t_disc"], adam_t_discriminator=manifest["adam_t_disc"])
-        old_format = with_manifest(format_version=2)
+        old_format = with_manifest(format_version=3)
         unknown_key = with_manifest(config={**manifest["config"], "tf_positional": True})
         no_local = with_manifest(counts={"global": manifest["counts"]["global"]})
         short = {**manifest["counts"]["local"], "window": manifest["counts"]["local"]["window"][:-1]}
         short_counts = with_manifest(counts={**manifest["counts"], "local": short})
         keys = [k.replace("enc.proj.b", "enc.proj.bias") for k in manifest["tensors"]]
         narrower = with_manifest(config={**manifest["config"], "enc_channels": [24, 40]})
-        no_total = {k: v for k, v in manifest["counts"]["local"].items() if k != "window_total"}
-        no_window_total = with_manifest(counts={**manifest["counts"], "local": no_total})
+        no_window = with_manifest(counts={**manifest["counts"],
+                                          "local": {"cumulative": short["cumulative"]}})
+        bad_counts = [with_manifest(counts={**manifest["counts"], "local": {**short, "window": w}})
+                      for w in ([-1] + short["window"], ["x"] + short["window"],
+                                [1.5] + short["window"])]
         refused_config = with_manifest(config={**manifest["config"], "latent_channels": 0})
         arrays, pos = [], 0
         for key in manifest["tensors"]:
@@ -409,12 +412,12 @@ class TestCheckpointRoundTrip:
         bad_moment = line + b"\n" + b"".join(array_to_bytes(a) for a in arrays)
         for bad in (blob[:-8], line, blob + b"\0" * 8, b"{" + blob,
                     with_manifest(drop=["step"]), renamed, unknown_key, no_local, short_counts,
-                    with_manifest(tensors=keys), narrower, no_window_total,
+                    with_manifest(tensors=keys), narrower, no_window, *bad_counts,
                     with_manifest(step="ten"), refused_config, bad_moment, old_format):
             path.write_bytes(bad)
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 load_checkpoint(str(tmp_path / "ck"))
-        with pytest.raises(ValueError, match="format 2"):
+        with pytest.raises(ValueError, match="format 3"):
             load_checkpoint(str(tmp_path / "ck"))
 
 

@@ -11,7 +11,6 @@ from dualvq.checkpoint import (CHECKPOINT_FILE, CsvLog, load_checkpoint, read_ro
 from dualvq.codebook import load_codebook
 from dualvq.config import ConfigError, config_from_dict, experiment_hash
 from dualvq.data import batch_indices, build_dataset, split_dataset
-from dualvq.metrics import load_utilization
 from dualvq.model import StepReport, training_step
 from dualvq.run import export_codebook, run_ablation, run_eval, run_train
 
@@ -43,7 +42,7 @@ def assert_states_identical(a, b):
         assert na == nb
         assert np.array_equal(ca.counts, cb.counts)
         assert np.array_equal(ca.window_counts, cb.window_counts)
-        assert (ca.total_assignments, ca.window_total) == (cb.total_assignments, cb.window_total)
+        assert ca.counts.dtype == ca.window_counts.dtype == cb.counts.dtype == np.uint64
 
 
 class TestRunTrain:
@@ -184,13 +183,14 @@ class TestRunTrain:
     def test_utilization_matches_dump(self, tmp_path):
         cfg = config_from_dict(small_raw(tmp_path / "run"))
         result = run_train(cfg)
-        report = load_utilization(result.utilization_json)
-        by_name = {s.name: s for s in report.series}
+        with open(result.utilization_json) as f:
+            by_name = {s["name"]: s for s in json.load(f)["series"]}
         for which in ("global", "local"):
             out = str(tmp_path / f"{which}.dvqc")
             export_codebook(result.final_checkpoint, which, out)
             cb = load_codebook(out)
-            assert cb.counts.tolist() == by_name[which].counts
+            assert cb.counts.tolist() == by_name[which]["counts"]
+            assert by_name[which]["total_assignments"] == int(cb.counts.sum())
         state, _ = load_checkpoint(result.final_checkpoint)
         cb = load_codebook(str(tmp_path / "global.dvqc"))
         assert np.array_equal(cb.entries.data, state.quantizer.global_cb.entries.data)
@@ -244,8 +244,8 @@ class TestSingleMode:
         assert sorted(manifest["counts"]) == ["global"]
         cb = state.quantizer.codebooks()["global"]
         rows_per_step = 4 * 8 * 8
-        assert cb.total_assignments == 12 * rows_per_step
-        assert cb.window_total == 4 * rows_per_step
+        assert int(cb.counts.sum()) == 12 * rows_per_step
+        assert int(cb.window_counts.sum()) == 4 * rows_per_step
 
     def test_resume_bit_identical(self, tmp_path, single_run):
         part = run_train(config_from_dict(single_raw(tmp_path / "part")), stop_after=6)
@@ -346,10 +346,15 @@ class TestCli:
 
     def test_config_error_exit_two(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text('{"seed": 1, "nonsense_key": true}')
-        proc = run_cli(["train", "--config", str(cfg_path)])
-        assert proc.returncode == 2
-        assert "nonsense_key" in proc.stderr
+        grid = [{"split_global": "a", "split_local": 4, "transformer_on": True, "codebook_total": 64}]
+        for raw, key in (({"nonsense_key": True}, "nonsense_key"), ({"steps": "ten"}, "steps"),
+                         ({"eval_every": "x"}, "eval_every"),
+                         ({"dataset": {"size": "big"}}, "dataset size"),
+                         ({"grid": grid}, "split_global")):
+            cfg_path.write_text(json.dumps({"seed": 1, **raw}))
+            proc = run_cli(["train", "--config", str(cfg_path)])
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith("config error:") and key in proc.stderr, proc.stderr
 
     def test_missing_config_exit_two(self, tmp_path):
         proc = run_cli(["train", "--config", str(tmp_path / "absent.json")])
