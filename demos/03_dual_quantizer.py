@@ -10,7 +10,7 @@ from dualvq.autodiff import Tensor, backward
 from dualvq.codebook import Codebook
 from dualvq.dual_quantizer import DualQuantizerState, quantize_dual, split_channels
 from dualvq.rng import component_rng
-from dualvq.transformer import TransformerConfig, TransformerParams, refine
+from dualvq.transformer import TransformerParams, refine
 
 rng = np.random.default_rng(2)
 
@@ -19,8 +19,7 @@ z = Tensor(rng.normal(size=(2, 8, 4, 4)) * 0.1, requires_grad=True)
 zg, zl = split_channels(z, 4)
 print("split shapes:", zg.shape, zl.shape)
 
-cfg = TransformerConfig(layers=2, heads=2, ff_dim=32, embed_dim=4)
-tf = TransformerParams(cfg, rng=component_rng(2, "tf"))
+tf = TransformerParams(4, 2, 2, 32, rng=component_rng(2, "tf"))
 state = DualQuantizerState(
     global_cb=Codebook(16, 4, rng=component_rng(2, "cb_g")),
     local_cb=Codebook(16, 4, rng=component_rng(2, "cb_l")),

@@ -7,7 +7,7 @@ into a transformer-refined global half and a deterministic local half.
 
 from .autodiff import NonFiniteError, ShapeError, Tensor, backward
 from .codebook import Codebook, QuantizationResult, nearest_indices, quantize_st, usage_stats, vq_terms
-from .config import ConfigError, ExperimentConfig, GridEntry, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .dual_quantizer import (
     DualQuantizerState,
     SingleQuantizerState,
@@ -27,7 +27,7 @@ from .model import (
     training_step,
 )
 from .run import evaluate_state, export_codebook, run_ablation, run_eval, run_train
-from .transformer import TransformerConfig, TransformerParams, refine
+from .transformer import TransformerParams, refine
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "ConfigError",
     "DualQuantizerState",
     "ExperimentConfig",
-    "GridEntry",
     "ModelState",
     "NonFiniteError",
     "QuantizationResult",
@@ -45,7 +44,6 @@ __all__ = [
     "StepReport",
     "Tensor",
     "TrainConfig",
-    "TransformerConfig",
     "TransformerParams",
     "adaptive_lambda",
     "backward",

@@ -30,7 +30,7 @@ _MANIFEST_KEYS = {"step", "config", "adam_t_gen", "adam_t_disc", "counts", "tens
 
 def _restore_counts(cb, blob, where):
     for name in ("window", "cumulative"):
-        v = blob[name]
+        v = blob.get(name) if isinstance(blob, dict) else None
         if not (isinstance(v, list) and len(v) == cb.n_entries
                 and all(type(c) is int and 0 <= c < 2**64 for c in v)):
             raise ValueError(f"{where}: {name} counts are not {cb.n_entries} non-negative integers")
@@ -65,7 +65,9 @@ def save_checkpoint(state: ModelState, dirpath: str, experiment: dict | None = N
     tensor_io.atomic_write_bytes(os.path.join(dirpath, CHECKPOINT_FILE), b"".join(parts))
 
 
-def load_checkpoint(dirpath: str) -> tuple[ModelState, dict]:
+def load_checkpoint(dirpath: str, config: TrainConfig | None = None) -> tuple[ModelState, dict]:
+    """The state and manifest under ``dirpath``, the model built from ``config``
+    if given (a forced resume), else from the manifest; its tensors must fit."""
     path = os.path.join(dirpath, CHECKPOINT_FILE)
     with open(path, "rb") as f:
         blob = f.read()
@@ -82,11 +84,12 @@ def load_checkpoint(dirpath: str) -> tuple[ModelState, dict]:
     missing = _MANIFEST_KEYS - set(manifest)
     if missing:
         raise ValueError(f"{path}: manifest lacks {sorted(missing)}")
-    try:
-        config = TrainConfig.from_dict(manifest["config"])
-        config.validate()
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{path}: manifest config does not fit TrainConfig: {e}") from None
+    if config is None:
+        try:
+            config = TrainConfig.from_dict(manifest["config"])
+            config.validate()
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: manifest config does not fit TrainConfig: {e}") from None
     counters = [manifest[k] for k in ("step", "adam_t_gen", "adam_t_disc")]
     if any(type(v) is not int or v < 0 for v in counters):
         raise ValueError(f"{path}: manifest step/adam_t_gen/adam_t_disc {counters} are not all counts")
@@ -117,11 +120,9 @@ def load_checkpoint(dirpath: str) -> tuple[ModelState, dict]:
     if pos != len(blob):
         raise ValueError(f"{path}: {len(blob) - pos} bytes after the last tensor dump")
 
+    counts = manifest["counts"] if isinstance(manifest["counts"], dict) else {}
     for name, cb in state.quantizer.codebooks().items():
-        try:
-            _restore_counts(cb, manifest["counts"][name], f"{path}: codebook {name!r}")
-        except KeyError as e:
-            raise ValueError(f"{path}: manifest counts for codebook {name!r} lack {e}") from None
+        _restore_counts(cb, counts.get(name), f"{path}: codebook {name!r}")
     return state, manifest
 
 

@@ -155,6 +155,8 @@ def load_codebook(path: str) -> Codebook:
     if len(blob) < 12 or blob[:4] != CODEBOOK_MAGIC:
         raise ValueError(f"{path}: bad or cut 12-byte codebook dump header {blob[:12]!r}")
     k, d = struct.unpack_from("<II", blob, 4)
+    if k < 1 or d < 1:
+        raise ValueError(f"{path}: header says K={k}, d={d}; a codebook needs K >= 1 and d >= 1")
     try:
         entries, pos = tensor_io.bytes_to_array(blob, 12)
     except ValueError as e:

@@ -1,11 +1,15 @@
 """Experiment configuration: JSON loading with typo safety, validation,
-canonical hashing, and the ablation grid schema.
+canonical hashing, and the ablation grid.
 
 A config file is a flat JSON object of TrainConfig fields plus the
 optional keys ``dataset`` (object), ``eval_every``, ``out_dir`` and
 ``grid`` (list of {split_global, split_local, transformer_on,
 codebook_total[, label]}). Unknown keys are rejected. A minimal file is
 ``{"seed": 7}``.
+
+``_fill_defaults`` is the one parse-and-check path, for config files and
+stored checkpoint experiments alike. A grid entry is a plain dict (``label``
+defaults to ``grid{i}``), checked by building its run config, ``grid_run``.
 """
 
 from __future__ import annotations
@@ -25,20 +29,6 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class GridEntry:
-    split_global: int
-    split_local: int
-    transformer_on: bool
-    codebook_total: int
-    label: str = ""
-
-    def to_dict(self):
-        return {"split_global": self.split_global, "split_local": self.split_local,
-                "transformer_on": self.transformer_on, "codebook_total": self.codebook_total,
-                "label": self.label}
-
-
-@dataclass
 class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     dataset: dict = field(default_factory=dict)
@@ -47,18 +37,14 @@ class ExperimentConfig:
     grid: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        out = self.train.to_dict()
-        out["dataset"] = dict(self.dataset)
-        out["eval_every"] = self.eval_every
-        out["out_dir"] = self.out_dir
-        out["grid"] = [g.to_dict() for g in self.grid]
-        return out
+        return {**self.train.to_dict(), "dataset": dict(self.dataset), "eval_every": self.eval_every,
+                "out_dir": self.out_dir, "grid": [dict(g) for g in self.grid]}
 
 
 _TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 _TOP_FIELDS = {"dataset", "eval_every", "out_dir", "grid"}
 _DATASET_FIELDS = {"kind", "seed", "n", "size", "path"}
-_GRID_FIELDS = {"split_global", "split_local", "transformer_on", "codebook_total", "label"}
+_GRID_AXES = ("split_global", "split_local", "transformer_on", "codebook_total")
 
 
 def _integer(value, key: str) -> int:
@@ -97,37 +83,36 @@ def _fill_defaults(raw: dict) -> ExperimentConfig:
                 f"dataset size {dataset['size']} does not match image_size {train.image_size}"
             )
     elif dataset["kind"] == "ppm_dir":
-        if type(dataset.get("path")) is not str:
-            raise ConfigError("dataset kind 'ppm_dir' needs a 'path' string")
+        path = dataset.get("path")
+        if type(path) is not str or not os.path.isdir(path):
+            raise ConfigError(f"dataset kind 'ppm_dir' needs a 'path' naming a directory, got {path!r}")
     else:
         raise ConfigError(f"unknown dataset kind {dataset['kind']!r}")
 
-    grid = []
-    for i, entry in enumerate(raw.get("grid") or []):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"grid entry {i} must be an object, got {entry!r}")
-        unknown = set(entry) - _GRID_FIELDS
-        if unknown:
-            raise ConfigError(f"grid entry {i}: unknown keys {sorted(unknown)}")
-        missing = {"split_global", "split_local", "transformer_on", "codebook_total"} - set(entry)
-        if missing:
-            raise ConfigError(f"grid entry {i}: missing keys {sorted(missing)}")
-        ints = {k: _integer(entry[k], f"grid entry {i}: {k}")
-                for k in ("split_global", "split_local", "codebook_total")}
-        grid.append(GridEntry(**ints, transformer_on=bool(entry["transformer_on"]),
-                              label=str(entry.get("label", f"grid{i}"))))
-
     cfg = ExperimentConfig(train=train, dataset=dataset,
                            eval_every=_integer(raw.get("eval_every", 100), "eval_every"),
-                           out_dir=raw.get("out_dir"), grid=grid)
+                           out_dir=raw.get("out_dir"))
     if cfg.eval_every < 1:
         raise ConfigError(f"eval_every must be positive, got {cfg.eval_every}")
-    for i, g in enumerate(cfg.grid):
-        derived = apply_grid_entry(cfg, g)
+    grid = raw.get("grid") or []
+    if not isinstance(grid, list):
+        raise ConfigError(f"grid must be a list, got {grid!r}")
+    for i, entry in enumerate(grid):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"grid entry {i} must be an object, got {entry!r}")
+        unknown = set(entry) - {*_GRID_AXES, "label"}
+        missing = set(_GRID_AXES) - set(entry)
+        if unknown or missing:
+            raise ConfigError(f"grid entry {i}: unknown keys {sorted(unknown)}, "
+                              f"missing keys {sorted(missing)}")
+        entry = {"label": f"grid{i}", **entry}
+        if type(entry["label"]) is not str:
+            raise ConfigError(f"grid entry {i}: label must be a string, got {entry['label']!r}")
         try:
-            derived.train.validate()
-        except ValueError as e:
-            raise ConfigError(f"grid entry {i} ({g.label}): {e}") from None
+            grid_run(cfg, entry)
+        except ConfigError as e:
+            raise ConfigError(f"grid entry {i} ({entry['label']}): {e}") from None
+        cfg.grid.append(entry)
     return cfg
 
 
@@ -148,18 +133,18 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a config must be an object, got {raw!r}")
     return _fill_defaults(copy.deepcopy(raw))
 
 
-def apply_grid_entry(cfg: ExperimentConfig, entry: GridEntry) -> ExperimentConfig:
-    """Derive a run config from the base by overriding the ablation axes."""
-    derived = config_from_dict({k: v for k, v in cfg.to_dict().items() if k != "grid"})
-    derived.train.split_global = entry.split_global
-    derived.train.split_local = entry.split_local
-    derived.train.transformer_on = entry.transformer_on
-    derived.train.codebook_total = entry.codebook_total
-    derived.train.quantizer_mode = "dual"
-    return derived
+def grid_run(cfg: ExperimentConfig, entry: dict) -> ExperimentConfig:
+    """The run config of one grid entry: the base config without its grid,
+    with the entry's ablation axes and the dual quantizer."""
+    raw = cfg.to_dict()
+    del raw["grid"]
+    raw.update({k: entry[k] for k in _GRID_AXES}, quantizer_mode="dual")
+    return config_from_dict(raw)
 
 
 def experiment_hash(cfg: ExperimentConfig) -> str:

@@ -165,10 +165,8 @@ def load_ppm_dir(dirpath: str, size: int) -> np.ndarray:
 
 
 def build_dataset(spec: dict, image_size: int) -> np.ndarray:
-    """Materialize a dataset spec: {"kind": "synthetic", ...} or {"kind": "ppm_dir", ...}."""
-    kind = spec.get("kind", "synthetic")
-    if kind == "synthetic":
-        return synth_dataset(int(spec.get("seed", 0)), int(spec.get("n", 256)), image_size)
-    if kind == "ppm_dir":
-        return load_ppm_dir(spec["path"], image_size)
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    """Materialize a dataset spec that ``config`` has filled in and checked:
+    kind "synthetic" with its "seed" and "n", or kind "ppm_dir" with its "path"."""
+    if spec["kind"] == "synthetic":
+        return synth_dataset(spec["seed"], spec["n"], image_size)
+    return load_ppm_dir(spec["path"], image_size)

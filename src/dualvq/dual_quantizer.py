@@ -16,13 +16,13 @@ reports, checkpoint counters, window resets, export) loops over it;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, concat, narrow, reshape
 from .codebook import Codebook, QuantizationResult, quantize_st
-from .transformer import TransformerConfig, TransformerParams, refine
+from .transformer import TransformerParams, refine
 
 
 @dataclass
@@ -57,19 +57,6 @@ class SingleQuantizerState:
 
     def named_params(self):
         yield "global_cb", self.cb.entries
-
-
-def make_dual_state(split_global: int, split_local: int, k_global: int, k_local: int,
-                    beta: float, transformer_on: bool, tf_cfg: TransformerConfig | None,
-                    rng_global, rng_local, rng_tf, zero_residual: bool = False) -> DualQuantizerState:
-    global_cb = Codebook(k_global, split_global, rng=rng_global)
-    local_cb = Codebook(k_local, split_local, rng=rng_local)
-    tf_params = None
-    if transformer_on:
-        cfg = replace(tf_cfg or TransformerConfig(), embed_dim=split_global)
-        tf_params = TransformerParams(cfg, rng=rng_tf, zero_residual=zero_residual)
-    return DualQuantizerState(global_cb=global_cb, local_cb=local_cb, tf_params=tf_params,
-                              split_global=split_global, split_local=split_local, beta=beta)
 
 
 def split_channels(z: Tensor, split_global: int) -> tuple[Tensor, Tensor]:

@@ -41,13 +41,12 @@ from .codebook import Codebook, usage_stats
 from .dual_quantizer import (
     DualQuantizerState,
     SingleQuantizerState,
-    make_dual_state,
     quant_loss_total,
     quantize_dual,
     quantize_single,
 )
 from .rng import component_rng
-from .transformer import TransformerConfig
+from .transformer import TransformerParams
 
 ADAM_BETAS = (0.5, 0.9)
 ADAM_EPS = 1e-8
@@ -224,9 +223,11 @@ class ModelState:
 
 
 def init_model(config: TrainConfig) -> ModelState:
-    """Build a fresh model; every network and quantizer component draws from
-    its own seeded stream. A conv layer gets a He-normal kernel, with fan-in
-    from its input channels, and a zero bias."""
+    """Build a fresh model from a checked ``TrainConfig``; every network and
+    quantizer component draws from its own seeded stream (``cb_global``,
+    ``cb_local``, ``tf``), so switching the transformer off leaves the
+    codebooks' draws unchanged. A conv layer gets a He-normal kernel, with
+    fan-in from its input channels, and a zero bias."""
     state = ModelState(config)
     seed = config.seed
     for net, layers in state.layers.items():
@@ -241,14 +242,16 @@ def init_model(config: TrainConfig) -> ModelState:
 
     if config.quantizer_mode == "dual":
         kg, kl = config.resolved_codebooks()
-        tf_cfg = TransformerConfig(layers=config.tf_layers, heads=config.tf_heads,
-                                   ff_dim=config.tf_ff_dim, embed_dim=config.split_global)
-        state.quantizer = make_dual_state(
-            config.split_global, config.split_local, kg, kl, config.beta,
-            config.transformer_on, tf_cfg,
-            component_rng(seed, "cb_global"), component_rng(seed, "cb_local"),
-            component_rng(seed, "tf"), zero_residual=config.tf_zero_residual,
-        )
+        tf_params = None
+        if config.transformer_on:
+            tf_params = TransformerParams(config.split_global, config.tf_layers, config.tf_heads,
+                                          config.tf_ff_dim, rng=component_rng(seed, "tf"),
+                                          zero_residual=config.tf_zero_residual)
+        state.quantizer = DualQuantizerState(
+            global_cb=Codebook(kg, config.split_global, rng=component_rng(seed, "cb_global")),
+            local_cb=Codebook(kl, config.split_local, rng=component_rng(seed, "cb_local")),
+            tf_params=tf_params, split_global=config.split_global,
+            split_local=config.split_local, beta=config.beta)
     else:
         cb = Codebook(config.codebook_total, config.latent_channels,
                       rng=component_rng(seed, "cb_global"))

@@ -19,8 +19,7 @@ from . import tensor_io
 from .checkpoint import (CHECKPOINT_FILE, CsvLog, format_cell, load_checkpoint, read_rows,
                          save_checkpoint, truncate_to_step)
 from .codebook import dump_codebook, usage_stats
-from .config import (ConfigError, ExperimentConfig, apply_grid_entry, config_from_dict,
-                      experiment_hash, write_echo)
+from .config import ConfigError, ExperimentConfig, config_from_dict, experiment_hash, grid_run, write_echo
 from .data import batch_indices, build_dataset, epoch_of_step, split_dataset
 from .metrics import (emit_utilization, frechet_gaussian, gaussian_stats, l1_metric, l2_metric,
                       psnr, sanitize_for_json)
@@ -106,7 +105,8 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
     best_dir = os.path.join(out_dir, "checkpoints", "best")
 
     if resume is not None:
-        state, manifest = load_checkpoint(resume)
+        # without force a mismatch is refused below, and a match means the same TrainConfig
+        state, manifest = load_checkpoint(resume, cfg.train if force else None)
         stored = manifest.get("experiment_hash")
         if stored != exp_hash and not force:
             raise ConfigError(
@@ -168,10 +168,15 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
 def run_eval(checkpoint: str, split: str = "val", out_path: str | None = None) -> dict:
     """Evaluate a checkpoint on one split of the dataset its run trained on."""
     state, manifest = load_checkpoint(checkpoint)
-    spec = (manifest.get("experiment") or {}).get("dataset")
-    if spec is None:
-        raise ConfigError("checkpoint carries no dataset spec")
-    images = build_dataset(spec, state.config.image_size)
+    stored = manifest.get("experiment")
+    try:
+        cfg = config_from_dict(stored)
+        changed = sorted(k for k, v in cfg.to_dict().items() if stored.get(k) != v)
+        if changed:  # a default filled in now could differ from the one the run used
+            raise ConfigError(f"{changed} are not filled in")
+    except ConfigError as e:
+        raise ConfigError(f"{checkpoint}: stored experiment config: {e}") from None
+    images = build_dataset(cfg.dataset, state.config.image_size)
     train_set, val_set, test_set = split_dataset(images)
     subset = {"train": train_set, "val": val_set, "test": test_set}.get(split)
     if subset is None:
@@ -193,9 +198,7 @@ def run_eval(checkpoint: str, split: str = "val", out_path: str | None = None) -
 
 
 def _grid_worker(payload: tuple) -> tuple:
-    raw, label, run_dir = payload
-    cfg = config_from_dict(raw)
-    cfg.out_dir = run_dir
+    label, cfg = payload
     result = run_train(cfg)
     ev = result.last_eval
     desc_g = f"{'T' if cfg.train.transformer_on else 'S'}-{cfg.train.split_global}"
@@ -226,10 +229,9 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> str:
 
     payloads = []
     for entry in cfg.grid:
-        derived = apply_grid_entry(cfg, entry)
-        raw = derived.to_dict()
-        raw.pop("grid", None)
-        payloads.append((raw, entry.label, os.path.join(out_dir, "runs", entry.label)))
+        derived = grid_run(cfg, entry)
+        derived.out_dir = os.path.join(out_dir, "runs", entry["label"])
+        payloads.append((entry["label"], derived))
 
     width = grid_width(len(payloads))
     if width > 1:

@@ -3,7 +3,9 @@
 The K code vectors are the token sequence; there is no positional encoding
 because a codebook is an unordered set. Blocks are pre-normalisation:
 attention and feed-forward branches read a layernormed copy and add their
-output back.
+output back. ``TransformerParams`` takes its sizes as plain arguments;
+``model.init_model`` passes ``split_global`` and the ``tf_*`` fields of
+``TrainConfig``, which the config path has already checked.
 
 Residual output projections (attention out-projection and the second
 feed-forward matrix) carry no bias and initialise to zero, so a fresh
@@ -16,38 +18,21 @@ compares against its transformer-free mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, add, gelu, layernorm, matmul, mul, softmax
 
 
-@dataclass
-class TransformerConfig:
-    layers: int = 2
-    heads: int = 2
-    ff_dim: int = 64
-    embed_dim: int = 4
-
-    def validate(self):
-        for name in ("layers", "heads", "ff_dim", "embed_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"transformer {name} must be positive, got {getattr(self, name)}")
-        if self.embed_dim % self.heads != 0:
-            raise ValueError(
-                f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
-            )
-
-
 class TransformerParams:
-    """Ordered parameter set for the encoder stack."""
+    """Ordered parameter set for a ``layers``-deep stack over ``dim``-wide
+    tokens with ``heads`` attention heads and ``ff_dim`` feed-forward units."""
 
-    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator | None = None,
-                 zero_residual: bool = False):
-        cfg.validate()
-        self.cfg = cfg
-        d, ff = cfg.embed_dim, cfg.ff_dim
+    def __init__(self, dim: int, layers: int, heads: int, ff_dim: int,
+                 rng: np.random.Generator | None = None, zero_residual: bool = False):
+        if min(dim, layers, heads, ff_dim) < 1 or dim % heads != 0:
+            raise ValueError(f"transformer needs positive sizes and heads dividing dim, got "
+                             f"dim={dim}, layers={layers}, heads={heads}, ff_dim={ff_dim}")
+        self.dim, self.layers, self.heads = dim, layers, heads
 
         def draw(rows, cols):
             if zero_residual or rng is None:
@@ -55,19 +40,19 @@ class TransformerParams:
             return rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols))
 
         self.tensors: dict[str, Tensor] = {}
-        for i in range(cfg.layers):
+        for i in range(layers):
             p = f"layer{i}."
-            self._add(p + "ln1_g", np.ones(d))
-            self._add(p + "ln1_b", np.zeros(d))
-            self._add(p + "wq", draw(d, d))
-            self._add(p + "wk", draw(d, d))
-            self._add(p + "wv", draw(d, d))
-            self._add(p + "wo", np.zeros((d, d)))
-            self._add(p + "ln2_g", np.ones(d))
-            self._add(p + "ln2_b", np.zeros(d))
-            self._add(p + "w1", draw(d, ff))
-            self._add(p + "b1", np.zeros(ff))
-            self._add(p + "w2", np.zeros((ff, d)))
+            self._add(p + "ln1_g", np.ones(dim))
+            self._add(p + "ln1_b", np.zeros(dim))
+            self._add(p + "wq", draw(dim, dim))
+            self._add(p + "wk", draw(dim, dim))
+            self._add(p + "wv", draw(dim, dim))
+            self._add(p + "wo", np.zeros((dim, dim)))
+            self._add(p + "ln2_g", np.ones(dim))
+            self._add(p + "ln2_b", np.zeros(dim))
+            self._add(p + "w1", draw(dim, ff_dim))
+            self._add(p + "b1", np.zeros(ff_dim))
+            self._add(p + "w2", np.zeros((ff_dim, dim)))
 
     def _add(self, name, arr):
         self.tensors[name] = Tensor(arr, requires_grad=True, op=f"tf.{name}")
@@ -80,9 +65,8 @@ class TransformerParams:
 
 
 def _self_attention(x: Tensor, params: TransformerParams, layer: int) -> Tensor:
-    cfg = params.cfg
     k_tokens = x.shape[0]
-    d, heads = cfg.embed_dim, cfg.heads
+    d, heads = params.dim, params.heads
     dh = d // heads
     p = f"layer{layer}."
     q = matmul(x, params[p + "wq"]).reshape(k_tokens, heads, dh).swapaxes(0, 1)
@@ -96,13 +80,10 @@ def _self_attention(x: Tensor, params: TransformerParams, layer: int) -> Tensor:
 
 def refine(entries: Tensor, params: TransformerParams) -> Tensor:
     """Run the encoder stack over the K entry tokens; returns (K, d)."""
-    cfg = params.cfg
-    if entries.ndim != 2 or entries.shape[1] != cfg.embed_dim:
-        raise ShapeError(
-            f"refine: entries {entries.shape} do not match embed_dim {cfg.embed_dim}"
-        )
+    if entries.ndim != 2 or entries.shape[1] != params.dim:
+        raise ShapeError(f"refine: entries {entries.shape} do not match dim {params.dim}")
     x = entries
-    for i in range(cfg.layers):
+    for i in range(params.layers):
         p = f"layer{i}."
         h = layernorm(x, params[p + "ln1_g"], params[p + "ln1_b"])
         x = add(x, _self_attention(h, params, i))

@@ -37,7 +37,7 @@ from dualvq.dual_quantizer import quantize_dual
 from dualvq.metrics import compression_ratio, frechet_gaussian, l1_metric, l2_metric, psnr
 from dualvq.model import LAMBDA_DELTA, TrainConfig, adaptive_lambda
 from dualvq.run import run_ablation, run_train
-from dualvq.transformer import TransformerConfig, TransformerParams
+from dualvq.transformer import TransformerParams
 
 from test_dual_quantizer import dual_state, enumeration_oracle
 
@@ -277,8 +277,7 @@ def test_criterion_3_straight_through_exact():
             assert np.array_equal(cb.entries.grad[j], np.zeros(d))
 
     # through the dual path with a live transformer
-    cfg = TransformerConfig(layers=1, heads=1, ff_dim=4, embed_dim=2)
-    tf = TransformerParams(cfg, rng=np.random.default_rng(301))
+    tf = TransformerParams(2, 1, 1, 4, rng=np.random.default_rng(301))
     st = dual_state(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), tf_params=tf)
     z = Tensor(rng.normal(size=(2, 4, 2, 2)), requires_grad=True)
     z_q, _, _ = quantize_dual(z, st)
@@ -318,8 +317,7 @@ def test_criterion_5_degeneracy(tmp_path):
 
     # same assignments and loss terms on a turned model state
     rng = np.random.default_rng(500)
-    tf = TransformerParams(TransformerConfig(layers=2, heads=2, ff_dim=8, embed_dim=2),
-                           rng=rng, zero_residual=True)
+    tf = TransformerParams(2, 2, 2, 8, rng=rng, zero_residual=True)
     entries_g, entries_l = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
     z = rng.normal(size=(2, 4, 3, 3))
     st_zero = dual_state(entries_g.copy(), entries_l.copy(), tf_params=tf)

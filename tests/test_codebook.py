@@ -19,6 +19,7 @@ from dualvq.codebook import (
 )
 from dualvq.checkpoint import load_checkpoint, save_checkpoint
 from dualvq.model import TrainConfig, init_model
+from dualvq.tensor_io import array_to_bytes
 
 
 def make_cb(entries):
@@ -286,7 +287,8 @@ class TestDump:
         dump_codebook(cb, str(path))
         blob = path.read_bytes()
         wrong_dims = blob[:4] + struct.pack("<II", 4, 2) + blob[12:]  # header (4, 2), entries (4, 3)
-        for bad in [blob[:n] for n in range(12)] + [wrong_dims, blob[:40]]:  # 40: cut in entries
+        empty = blob[:4] + struct.pack("<II", 0, 0) + array_to_bytes(np.zeros((0, 0)))
+        for bad in [blob[:n] for n in range(12)] + [wrong_dims, blob[:40], empty]:  # 40: cut in entries
             path.write_bytes(bad)
             with pytest.raises(ValueError, match="cb.dvqc"):
                 load_codebook(str(path))

@@ -6,9 +6,9 @@ import pytest
 from dualvq.config import (
     ConfigError,
     ExperimentConfig,
-    apply_grid_entry,
     config_from_dict,
     experiment_hash,
+    grid_run,
     load_config,
 )
 from dualvq.data import (
@@ -140,12 +140,17 @@ class TestConfig:
         with pytest.raises(ConfigError) as ei:
             load_config(str(path))
         assert "learning_rte" in str(ei.value)
+        axes = {"split_global": 4, "split_local": 4, "transformer_on": True, "codebook_total": 64}
         for raw, key in (({"learning_rate": "fast"}, "learning_rate"), ({"batch": 2.5}, "batch"),
                          ({"enc_channels": [24, "a"]}, "enc_channels"),
                          ({"transformer_on": 1}, "transformer_on"), ({"seed": True}, "seed"),
                          ({"dataset": {"n": 2.5}}, "dataset n"), ({"dataset": "abc"}, "dataset"),
                          ({"dataset": {"kind": "ppm_dir", "path": 5}}, "path"),
-                         ({"enc_channels": 5}, "enc_channels"), ({"grid": [5]}, "grid entry 0")):
+                         ({"enc_channels": 5}, "enc_channels"), ({"grid": [5]}, "grid entry 0"),
+                         ({"dataset": {"kind": "ppm_dir", "path": str(tmp_path / "absent")}}, "absent"),
+                         ({"grid": 5}, "grid"),
+                         ({"grid": [{**axes, "transformer_on": "no"}]}, "grid entry 0.*transformer_on"),
+                         ({"grid": [{**axes, "label": 7}]}, "grid entry 0: label")):
             with pytest.raises(ConfigError, match=key):
                 config_from_dict({"seed": 1, **raw})
 
@@ -184,7 +189,7 @@ class TestConfig:
         path.write_text(json.dumps(raw))
         cfg = load_config(str(path))
         assert len(cfg.grid) == 4
-        derived = [apply_grid_entry(cfg, g) for g in cfg.grid]
+        derived = [grid_run(cfg, g) for g in cfg.grid]
         assert [d.train.transformer_on for d in derived] == [False, True, True, True]
         assert [d.train.split_global for d in derived] == [4, 6, 2, 4]
         for d in derived:

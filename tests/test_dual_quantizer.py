@@ -7,14 +7,14 @@ from dualvq.dual_quantizer import (
     DualQuantizerState,
     SingleQuantizerState,
     channels_to_rows,
-    make_dual_state,
     quant_loss_total,
     quantize_dual,
     quantize_single,
     split_channels,
 )
 from dualvq.rng import component_rng
-from dualvq.transformer import TransformerConfig, TransformerParams, refine
+from dualvq.model import TrainConfig, init_model
+from dualvq.transformer import TransformerParams, refine
 from dualvq.autodiff import concat
 
 
@@ -88,15 +88,13 @@ class TestSplit:
 class TestRefine:
     def test_fresh_params_are_identity(self):
         rng = component_rng(0, "tf")
-        cfg = TransformerConfig(layers=3, heads=2, ff_dim=16, embed_dim=6)
-        params = TransformerParams(cfg, rng=rng)   # output projections start at zero
+        params = TransformerParams(6, 3, 2, 16, rng=rng)   # output projections start at zero
         entries = Tensor(np.random.default_rng(52).normal(size=(10, 6)))
         out = refine(entries, params)
         assert np.array_equal(out.data, entries.data)
 
     def test_shape_contract(self):
-        cfg = TransformerConfig(layers=2, heads=2, ff_dim=8, embed_dim=4)
-        params = TransformerParams(cfg, rng=component_rng(1, "tf"))
+        params = TransformerParams(4, 2, 2, 8, rng=component_rng(1, "tf"))
         for t in params.tensors.values():          # randomize everything
             t.data = np.random.default_rng(t._nid).normal(size=t.shape) * 0.3
         for k in (1, 5, 12):
@@ -104,8 +102,7 @@ class TestRefine:
             assert out.shape == (k, 4)
 
     def test_gradients_vs_fd(self):
-        cfg = TransformerConfig(layers=1, heads=2, ff_dim=6, embed_dim=4)
-        params = TransformerParams(cfg, rng=component_rng(2, "tf"))
+        params = TransformerParams(4, 1, 2, 6, rng=component_rng(2, "tf"))
         rng = np.random.default_rng(53)
         for t in params.tensors.values():
             t.data = rng.normal(size=t.shape) * 0.4
@@ -152,8 +149,7 @@ class TestRefine:
         assert np.abs(entries.grad - fd).max() / scale < 1e-4
 
     def test_zero_residual_grads_vanish(self):
-        cfg = TransformerConfig(layers=2, heads=2, ff_dim=8, embed_dim=4)
-        params = TransformerParams(cfg, rng=component_rng(3, "tf"), zero_residual=True)
+        params = TransformerParams(4, 2, 2, 8, rng=component_rng(3, "tf"), zero_residual=True)
         entries = Tensor(np.random.default_rng(54).normal(size=(6, 4)), requires_grad=True)
         out = refine(entries, params)
         weights = np.random.default_rng(55).normal(size=(6, 4))
@@ -164,11 +160,10 @@ class TestRefine:
 
     def test_embed_heads_divisibility(self):
         with pytest.raises(ValueError):
-            TransformerConfig(layers=1, heads=3, ff_dim=8, embed_dim=4).validate()
+            TransformerParams(4, 1, 3, 8)
 
     def test_dim_mismatch(self):
-        cfg = TransformerConfig(layers=1, heads=2, ff_dim=8, embed_dim=4)
-        params = TransformerParams(cfg, rng=component_rng(4, "tf"))
+        params = TransformerParams(4, 1, 2, 8, rng=component_rng(4, "tf"))
         with pytest.raises(ShapeError):
             refine(Tensor(np.zeros((3, 6))), params)
 
@@ -177,8 +172,7 @@ class TestQuantizeDual:
     def test_fixed_point(self):
         entries_g = np.array([[1.0, 2.0], [-1.0, 0.5]])
         entries_l = np.array([[0.0, 3.0], [2.0, -2.0]])
-        cfg = TransformerConfig(layers=2, heads=1, ff_dim=8, embed_dim=2)
-        tf = TransformerParams(cfg, rng=component_rng(5, "tf"), zero_residual=True)
+        tf = TransformerParams(2, 2, 1, 8, rng=component_rng(5, "tf"), zero_residual=True)
         st = dual_state(entries_g, entries_l, tf_params=tf)
         z = np.zeros((1, 4, 1, 2))
         z[0, :2, 0, 0] = entries_g[0]
@@ -194,8 +188,7 @@ class TestQuantizeDual:
     def test_desk_instance_matches_enumeration(self):
         entries_g = np.array([[0.5, 0.5], [-0.5, -0.5]])
         entries_l = np.array([[1.0, 0.0], [0.0, 1.0]])
-        cfg = TransformerConfig(layers=1, heads=1, ff_dim=4, embed_dim=2)
-        tf = TransformerParams(cfg, rng=component_rng(6, "tf"), zero_residual=True)
+        tf = TransformerParams(2, 1, 1, 4, rng=component_rng(6, "tf"), zero_residual=True)
         st = dual_state(entries_g, entries_l, tf_params=tf, beta=0.25)
         z = np.array([0.4, 0.6, 0.2, 0.9]).reshape(1, 4, 1, 1)
         z_q, res_g, res_l = quantize_dual(Tensor(z), st)
@@ -248,8 +241,7 @@ class TestQuantizeDual:
         entries_g = rng.normal(size=(4, 2))
         entries_l = rng.normal(size=(4, 2))
         z = rng.normal(size=(1, 4, 2, 2))
-        cfg = TransformerConfig(layers=1, heads=2, ff_dim=4, embed_dim=2)
-        tf = TransformerParams(cfg, rng=component_rng(7, "tf"))
+        tf = TransformerParams(2, 1, 2, 4, rng=component_rng(7, "tf"))
         st = dual_state(entries_g, entries_l, tf_params=tf)
         _, _, res_l = quantize_dual(Tensor(z), st)
         for t in tf.tensors.values():
@@ -263,8 +255,7 @@ class TestQuantizeDual:
         entries_g = rng.normal(size=(4, 2))
         entries_l = rng.normal(size=(4, 2))
         z = rng.normal(size=(2, 4, 3, 3))
-        cfg = TransformerConfig(layers=2, heads=2, ff_dim=8, embed_dim=2)
-        tf = TransformerParams(cfg, rng=component_rng(8, "tf"), zero_residual=True)
+        tf = TransformerParams(2, 2, 2, 8, rng=component_rng(8, "tf"), zero_residual=True)
         st_tf = dual_state(entries_g.copy(), entries_l.copy(), tf_params=tf)
         st_simple = dual_state(entries_g.copy(), entries_l.copy(), tf_params=None)
         zq1, g1, l1 = quantize_dual(Tensor(z), st_tf)
@@ -276,8 +267,7 @@ class TestQuantizeDual:
 
     def test_transformer_receives_gradient_when_cb_term_positive(self):
         rng = np.random.default_rng(60)
-        cfg = TransformerConfig(layers=1, heads=2, ff_dim=4, embed_dim=2)
-        tf = TransformerParams(cfg, rng=component_rng(9, "tf"))
+        tf = TransformerParams(2, 1, 2, 4, rng=component_rng(9, "tf"))
         st = dual_state(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), tf_params=tf)
         z = Tensor(rng.normal(size=(1, 4, 2, 2)), requires_grad=True)
         _, res_g, res_l = quantize_dual(z, st)
@@ -313,20 +303,8 @@ class TestSingle:
 
 class TestMakeState:
     def test_component_rngs_isolated(self):
-        a = make_dual_state(4, 4, 8, 8, 0.25, True, TransformerConfig(embed_dim=4),
-                            component_rng(7, "cb_g"), component_rng(7, "cb_l"),
-                            component_rng(7, "tf"))
-        b = make_dual_state(4, 4, 8, 8, 0.25, False, None,
-                            component_rng(7, "cb_g"), component_rng(7, "cb_l"),
-                            component_rng(7, "tf"))
+        a = init_model(TrainConfig(seed=7)).quantizer
+        b = init_model(TrainConfig(seed=7, transformer_on=False)).quantizer
         assert np.array_equal(a.global_cb.entries.data, b.global_cb.entries.data)
         assert np.array_equal(a.local_cb.entries.data, b.local_cb.entries.data)
         assert a.tf_params is not None and b.tf_params is None
-
-    def test_caller_transformer_config_unchanged(self):
-        cfg = TransformerConfig(embed_dim=4)
-        state = make_dual_state(2, 6, 8, 8, 0.25, True, cfg,
-                                component_rng(7, "cb_g"), component_rng(7, "cb_l"),
-                                component_rng(7, "tf"))
-        assert cfg.embed_dim == 4
-        assert state.tf_params.cfg.embed_dim == 2

@@ -401,6 +401,7 @@ class TestCheckpointRoundTrip:
         narrower = with_manifest(config={**manifest["config"], "enc_channels": [24, 40]})
         no_window = with_manifest(counts={**manifest["counts"],
                                           "local": {"cumulative": short["cumulative"]}})
+        not_object = with_manifest(counts={**manifest["counts"], "local": 5})
         bad_counts = [with_manifest(counts={**manifest["counts"], "local": {**short, "window": w}})
                       for w in ([-1] + short["window"], ["x"] + short["window"],
                                 [1.5] + short["window"])]
@@ -412,7 +413,7 @@ class TestCheckpointRoundTrip:
         bad_moment = line + b"\n" + b"".join(array_to_bytes(a) for a in arrays)
         for bad in (blob[:-8], line, blob + b"\0" * 8, b"{" + blob,
                     with_manifest(drop=["step"]), renamed, unknown_key, no_local, short_counts,
-                    with_manifest(tensors=keys), narrower, no_window, *bad_counts,
+                    with_manifest(tensors=keys), narrower, no_window, not_object, *bad_counts,
                     with_manifest(step="ten"), refused_config, bad_moment, old_format):
             path.write_bytes(bad)
             with pytest.raises(ValueError, match=re.escape(str(path))):

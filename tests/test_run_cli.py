@@ -6,11 +6,12 @@ import sys
 import numpy as np
 import pytest
 
+import dualvq
 from dualvq.checkpoint import (CHECKPOINT_FILE, CsvLog, load_checkpoint, read_rows, save_checkpoint,
                                truncate_to_step)
 from dualvq.codebook import load_codebook
 from dualvq.config import ConfigError, config_from_dict, experiment_hash
-from dualvq.data import batch_indices, build_dataset, split_dataset
+from dualvq.data import batch_indices, build_dataset, save_ppm, split_dataset
 from dualvq.model import StepReport, training_step
 from dualvq.run import export_codebook, run_ablation, run_eval, run_train
 
@@ -179,6 +180,13 @@ class TestRunTrain:
         with pytest.raises(ConfigError):
             run_train(other, resume=result.final_checkpoint)
         run_train(other, resume=result.final_checkpoint, force=True)
+        # a forced resume trains under the new config, and records it
+        faster = config_from_dict(small_raw(tmp_path / "r3", steps=16, learning_rate=0.05))
+        resumed = run_train(faster, resume=result.final_checkpoint, force=True)
+        assert load_checkpoint(resumed.final_checkpoint)[0].config == faster.train
+        narrower = config_from_dict(small_raw(tmp_path / "r4", enc_channels=[24, 40]))
+        with pytest.raises(ValueError, match=CHECKPOINT_FILE):
+            run_train(narrower, resume=result.final_checkpoint, force=True)
 
     def test_utilization_matches_dump(self, tmp_path):
         cfg = config_from_dict(small_raw(tmp_path / "run"))
@@ -221,6 +229,19 @@ class TestRunEval:
         result = run_train(cfg)
         with pytest.raises(ConfigError):
             run_eval(result.final_checkpoint, split="holdout")
+
+    def test_bad_stored_dataset_refused(self, tmp_path):
+        result = run_train(config_from_dict(small_raw(tmp_path / "run", steps=2, eval_every=2)))
+        ckpt = result.final_checkpoint
+        state, manifest = load_checkpoint(ckpt)
+        experiment = manifest["experiment"]
+        no_seed = {k: v for k, v in experiment["dataset"].items() if k != "seed"}
+        for dataset in ({**experiment["dataset"], "n": "x"}, no_seed):
+            save_checkpoint(state, ckpt, experiment={**experiment, "dataset": dataset},
+                            experiment_hash=manifest["experiment_hash"])
+            with pytest.raises(ConfigError, match="dataset") as ei:
+                run_eval(ckpt)
+            assert ckpt in str(ei.value)
 
 
 def single_raw(out_dir, **overrides):
@@ -356,6 +377,22 @@ class TestCli:
             assert proc.returncode == 2, proc.stderr
             assert proc.stderr.startswith("config error:") and key in proc.stderr, proc.stderr
 
+    def test_eval_of_moved_ppm_dir_exit_two(self, tmp_path):
+        images = tmp_path / "images"
+        images.mkdir()
+        for i in range(10):
+            save_ppm(str(images / f"{i}.ppm"), np.full((3, 32, 32), i / 10))
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(small_raw(tmp_path / "run", steps=2, eval_every=2, batch=2,
+                                                 dataset={"kind": "ppm_dir", "path": str(images)})))
+        assert run_cli(["train", "--config", str(cfg_path)]).returncode == 0
+        images.rename(tmp_path / "moved")
+        for args in (["train", "--config", str(cfg_path)],
+                     ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoints" / "final")]):
+            proc = run_cli(args)
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith("config error:") and str(images) in proc.stderr
+
     def test_missing_config_exit_two(self, tmp_path):
         proc = run_cli(["train", "--config", str(tmp_path / "absent.json")])
         assert proc.returncode == 2
@@ -397,3 +434,9 @@ class TestCli:
         assert (out / "steps.csv").exists()
         assert (out / "checkpoints" / "final" / CHECKPOINT_FILE).exists()
         assert not (tmp_path / "from_file").exists()
+
+
+def test_every_export_resolves():
+    namespace = {}
+    exec("from dualvq import *", namespace)  # a stale name in __all__ raises here
+    assert set(dualvq.__all__) <= namespace.keys()
