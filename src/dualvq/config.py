@@ -20,6 +20,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 
+from .data import split_rows
 from .model import TrainConfig
 from . import tensor_io
 
@@ -43,7 +44,7 @@ class ExperimentConfig:
 
 _TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 _TOP_FIELDS = {"dataset", "eval_every", "out_dir", "grid"}
-_DATASET_FIELDS = {"kind", "seed", "n", "size", "path"}
+_DATASET_FIELDS = {"synthetic": {"kind", "seed", "n", "size"}, "ppm_dir": {"kind", "path"}}
 _GRID_AXES = ("split_global", "split_local", "transformer_on", "codebook_total")
 
 
@@ -68,11 +69,13 @@ def _fill_defaults(raw: dict) -> ExperimentConfig:
     if not isinstance(dataset, dict):
         raise ConfigError(f"dataset must be an object, got {dataset!r}")
     dataset = dict(dataset)
-    unknown = set(dataset) - _DATASET_FIELDS
+    kind = dataset.setdefault("kind", "synthetic")
+    if type(kind) is not str or kind not in _DATASET_FIELDS:
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    unknown = set(dataset) - _DATASET_FIELDS[kind]
     if unknown:
-        raise ConfigError(f"unknown dataset keys: {sorted(unknown)}")
-    dataset.setdefault("kind", "synthetic")
-    if dataset["kind"] == "synthetic":
+        raise ConfigError(f"unknown dataset keys for kind {kind!r}: {sorted(unknown)}")
+    if kind == "synthetic":
         dataset.setdefault("seed", train.seed)
         dataset.setdefault("n", 256)
         dataset.setdefault("size", train.image_size)
@@ -82,12 +85,15 @@ def _fill_defaults(raw: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"dataset size {dataset['size']} does not match image_size {train.image_size}"
             )
-    elif dataset["kind"] == "ppm_dir":
+        n = dataset["n"]
+        n_train, n_val = len(split_rows(n, "train")), len(split_rows(n, "val"))
+        if n_val < 1 or n_train < train.batch:
+            raise ConfigError(f"dataset n {n} is too small: its 80/10/10 split gives {n_train} "
+                              f"train images (batch is {train.batch}) and {n_val} val images")
+    else:
         path = dataset.get("path")
         if type(path) is not str or not os.path.isdir(path):
             raise ConfigError(f"dataset kind 'ppm_dir' needs a 'path' naming a directory, got {path!r}")
-    else:
-        raise ConfigError(f"unknown dataset kind {dataset['kind']!r}")
 
     cfg = ExperimentConfig(train=train, dataset=dataset,
                            eval_every=_integer(raw.get("eval_every", 100), "eval_every"),

@@ -1,5 +1,6 @@
 """Datasets: a deterministic procedural image generator, binary-PPM
-ingestion, the fixed 80/10/10 split, and the seeded batch stream.
+ingestion, the fixed 80/10/10 split (``split_rows``), and the seeded batch
+stream.
 
 Synthetic images cycle through three shape classes (rectangle, circle,
 linear gradient) drawn over lightly textured backgrounds, so class counts
@@ -16,6 +17,7 @@ import numpy as np
 from .rng import component_rng
 
 SHAPE_KINDS = ("rectangle", "circle", "gradient")
+SPLITS = ("train", "val", "test")
 
 
 def _background(rng, size):
@@ -56,24 +58,34 @@ def _draw_gradient(rng, img, size):
 _DRAWERS = {"rectangle": _draw_rectangle, "circle": _draw_circle, "gradient": _draw_gradient}
 
 
-def synth_dataset(seed: int, n: int, size: int) -> np.ndarray:
-    """(n, 3, size, size) float64 images in [0, 1]; class-balanced by index."""
-    images = np.empty((n, 3, size, size), dtype=np.float64)
-    for i in range(n):
+def synth_dataset(seed: int, n: int, size: int, split: str | None = None) -> np.ndarray:
+    """(n, 3, size, size) float64 images in [0, 1]; class-balanced by index.
+    With a ``split``, only that split's rows, bit-identical to slicing the
+    whole set, since image i is drawn from its own stream."""
+    rows = range(n) if split is None else split_rows(n, split)
+    images = np.empty((len(rows), 3, size, size), dtype=np.float64)
+    for j, i in enumerate(rows):
         rng = component_rng(seed, "synth", i)
         kind = SHAPE_KINDS[i % 3]
         img = _background(rng, size)
         _DRAWERS[kind](rng, img, size)
-        images[i] = np.clip(img, 0.0, 1.0)
+        images[j] = np.clip(img, 0.0, 1.0)
     return images
+
+
+def split_rows(n: int, split: str) -> range:
+    """Rows of one split of an n-image set under the fixed 80/10/10 rule:
+    train first, then val, then test, by position."""
+    n_train = int(n * 0.8)
+    n_val = int(n * 0.1)
+    bounds = {"train": (0, n_train), "val": (n_train, n_train + n_val), "test": (n_train + n_val, n)}
+    return range(*bounds[split])
 
 
 def split_dataset(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic 80/10/10 split by position."""
     n = images.shape[0]
-    n_train = int(n * 0.8)
-    n_val = int(n * 0.1)
-    return images[:n_train], images[n_train : n_train + n_val], images[n_train + n_val :]
+    return tuple(images[r.start : r.stop] for r in (split_rows(n, s) for s in SPLITS))
 
 
 def batch_indices(seed: int, n_train: int, batch: int, step: int) -> np.ndarray:
@@ -150,11 +162,17 @@ def load_ppm(path: str) -> np.ndarray:
     return raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
-def load_ppm_dir(dirpath: str, size: int) -> np.ndarray:
-    """Load every .ppm under a directory (sorted by name) as one array."""
+def load_ppm_dir(dirpath: str, size: int, split: str | None = None) -> np.ndarray:
+    """Load every .ppm under a directory (sorted by name) as one array, or
+    with a ``split`` only the files of that split."""
     names = sorted(f for f in os.listdir(dirpath) if f.lower().endswith(".ppm"))
     if not names:
         raise ValueError(f"no .ppm files under {dirpath}")
+    if split is not None:
+        rows = split_rows(len(names), split)
+        if not rows:
+            raise ValueError(f"{dirpath}: {len(names)} .ppm files leave the {split} split empty")
+        names = names[rows.start : rows.stop]
     images = []
     for name in names:
         img = load_ppm(os.path.join(dirpath, name))
@@ -164,9 +182,15 @@ def load_ppm_dir(dirpath: str, size: int) -> np.ndarray:
     return np.stack(images)
 
 
-def build_dataset(spec: dict, image_size: int) -> np.ndarray:
+def build_dataset(spec: dict, image_size: int, split: str | None = None) -> np.ndarray:
     """Materialize a dataset spec that ``config`` has filled in and checked:
-    kind "synthetic" with its "seed" and "n", or kind "ppm_dir" with its "path"."""
+    kind "synthetic" with its "seed" and "n", or kind "ppm_dir" with its "path".
+
+    Without ``split`` this is the whole set. With one of ``SPLITS`` it is
+    only that split's images, bit-identical to
+    ``split_dataset(build_dataset(spec, image_size))[SPLITS.index(split)]``,
+    and only those images are synthesized or read.
+    """
     if spec["kind"] == "synthetic":
-        return synth_dataset(spec["seed"], spec["n"], image_size)
-    return load_ppm_dir(spec["path"], image_size)
+        return synth_dataset(spec["seed"], spec["n"], image_size, split)
+    return load_ppm_dir(spec["path"], image_size, split)

@@ -4,7 +4,15 @@ Gaussian Fréchet distance.
 
 The Fréchet distance here acts on the model's quantized latents; it is
 NOT Inception-FID and its values are not comparable to Inception-based
-numbers. Images are assumed to live in [0, 1]; PSNR uses peak 1.0 and
+numbers. Evaluation computes it on the joint span of the two feature sets
+(``joint_basis``), an orthonormal basis Q of both sets' centred rows and
+their mean difference. The mean difference and the range of each
+covariance lie in span(Q), so projecting the features onto Q leaves the
+means' distance, both traces and tr((C1 C2)^1/2) unchanged in exact
+arithmetic, while the eigenproblems shrink from d x d to at most
+(2n + 1) x (2n + 1) for n images a set.
+
+Images are assumed to live in [0, 1]; PSNR uses peak 1.0 and
 returns +inf for identical inputs (serialized as the string "inf").
 """
 
@@ -92,6 +100,18 @@ def frechet_gaussian(mu1, cov1, mu2, cov2) -> float:
     tr_sqrt = float(np.sqrt(w).sum())
     d2 = float(((mu1 - mu2) ** 2).sum() + np.trace(c1) + np.trace(c2) - 2.0 * tr_sqrt)
     return max(d2, 0.0)
+
+
+def joint_basis(f1, f2) -> np.ndarray:
+    """(d, r) orthonormal basis, r <= n1 + n2 + 1, whose span holds every
+    centred row of the (n, d) features ``f1`` and ``f2`` and the difference
+    of their means; when r reaches d it is a basis of the whole space."""
+    f1 = np.asarray(f1, dtype=np.float64)
+    f2 = np.asarray(f2, dtype=np.float64)
+    m1 = f1.mean(axis=0)
+    m2 = f2.mean(axis=0)
+    q, _ = np.linalg.qr(np.concatenate([f1 - m1, f2 - m2, (m1 - m2)[None]]).T)
+    return q
 
 
 def gaussian_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

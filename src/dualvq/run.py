@@ -20,9 +20,9 @@ from .checkpoint import (CHECKPOINT_FILE, CsvLog, format_cell, load_checkpoint, 
                          save_checkpoint, truncate_to_step)
 from .codebook import dump_codebook, usage_stats
 from .config import ConfigError, ExperimentConfig, config_from_dict, experiment_hash, grid_run, write_echo
-from .data import batch_indices, build_dataset, epoch_of_step, split_dataset
-from .metrics import (emit_utilization, frechet_gaussian, gaussian_stats, l1_metric, l2_metric,
-                      psnr, sanitize_for_json)
+from .data import SPLITS, batch_indices, build_dataset, epoch_of_step
+from .metrics import (emit_utilization, frechet_gaussian, gaussian_stats, joint_basis, l1_metric,
+                      l2_metric, psnr, sanitize_for_json)
 from .model import ModelState, StepReport, init_model, quantize_images, reconstruct, training_step
 
 EVAL_COLUMNS = ("step", "psnr", "l1", "l2", "fid_star")
@@ -62,8 +62,8 @@ def evaluate_state(state: ModelState, images: np.ndarray) -> dict:
     """Reconstruction metrics plus the Gaussian Fréchet stand-in.
 
     fid_star is a closed-form Fréchet distance between Gaussians fit to the
-    quantized latents of the images and of their reconstructions; it is not
-    Inception-FID.
+    quantized latents of the images and of their reconstructions, taken on
+    the span of both (``joint_basis``); it is not Inception-FID.
     """
     recon, latents = _reconstruct_all(state, images)
     psnrs = [psnr(images[i], recon[i]) for i in range(images.shape[0])]
@@ -72,7 +72,8 @@ def evaluate_state(state: ModelState, images: np.ndarray) -> dict:
     # the reconstructions' latents need no decoder pass
     recon_latents = np.concatenate([quantize_images(state, recon[lo:hi])[0].data.reshape(hi - lo, -1)
                                     for lo, hi in _chunks(recon.shape[0], _EVAL_CHUNK)])
-    fid = frechet_gaussian(*gaussian_stats(latents), *gaussian_stats(recon_latents))
+    q = joint_basis(latents, recon_latents)
+    fid = frechet_gaussian(*gaussian_stats(latents @ q), *gaussian_stats(recon_latents @ q))
     return {
         "step": state.step,
         "n_images": int(images.shape[0]),
@@ -95,8 +96,8 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
     exp_hash = experiment_hash(cfg)
     write_echo(cfg, out_dir)
 
-    images = build_dataset(cfg.dataset, cfg.train.image_size)
-    train_set, val_set, _ = split_dataset(images)
+    train_set = build_dataset(cfg.dataset, cfg.train.image_size, "train")
+    val_set = build_dataset(cfg.dataset, cfg.train.image_size, "val")
     n_train = train_set.shape[0]
 
     steps_path = os.path.join(out_dir, "steps.csv")
@@ -176,12 +177,9 @@ def run_eval(checkpoint: str, split: str = "val", out_path: str | None = None) -
             raise ConfigError(f"{changed} are not filled in")
     except ConfigError as e:
         raise ConfigError(f"{checkpoint}: stored experiment config: {e}") from None
-    images = build_dataset(cfg.dataset, state.config.image_size)
-    train_set, val_set, test_set = split_dataset(images)
-    subset = {"train": train_set, "val": val_set, "test": test_set}.get(split)
-    if subset is None:
+    if split not in SPLITS:
         raise ConfigError(f"unknown split {split!r}")
-    ev = evaluate_state(state, subset)
+    ev = evaluate_state(state, build_dataset(cfg.dataset, state.config.image_size, split))
     ev["split"] = split
     ev["checkpoint"] = checkpoint
     codebooks = state.quantizer.codebooks()

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualvq.config import (
     ConfigError,
@@ -12,6 +13,7 @@ from dualvq.config import (
     load_config,
 )
 from dualvq.data import (
+    SPLITS,
     batch_indices,
     build_dataset,
     dataset_checksum,
@@ -20,6 +22,7 @@ from dualvq.data import (
     load_ppm_dir,
     save_ppm,
     split_dataset,
+    split_rows,
     synth_dataset,
 )
 
@@ -58,6 +61,15 @@ class TestSplitAndBatches:
         tr, va, te = split_dataset(imgs)
         assert tr.shape[0] == 80 and va.shape[0] == 10 and te.shape[0] == 10
         assert np.array_equal(np.concatenate([tr, va, te]), imgs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(10, 64), seed=st.integers(0, 2**31), split=st.sampled_from(SPLITS))
+    def test_one_split_built_equals_split_of_whole(self, n, seed, split):
+        spec = {"kind": "synthetic", "seed": seed, "n": n}
+        whole = split_dataset(build_dataset(spec, 16))[SPLITS.index(split)]
+        part = build_dataset(spec, 16, split)
+        assert part.shape == whole.shape and part.tobytes() == whole.tobytes()
+        assert len(split_rows(n, split)) == part.shape[0]
 
     def test_batch_stream_pure_function_of_step(self):
         for step in (0, 3, 25, 26, 100):
@@ -114,6 +126,24 @@ class TestPpm:
         imgs = build_dataset({"kind": "ppm_dir", "path": str(tmp_path)}, 16)
         assert imgs.shape == (1, 3, 16, 16)
 
+    def test_build_dataset_ppm_split(self, tmp_path):
+        spec = {"kind": "ppm_dir", "path": str(tmp_path)}
+        for i in range(12):
+            save_ppm(str(tmp_path / f"im{i:02d}.ppm"), np.full((3, 4, 4), i / 12))
+        whole = split_dataset(build_dataset(spec, 4))
+        for i, split in enumerate(SPLITS):
+            assert build_dataset(spec, 4, split).tobytes() == whole[i].tobytes()
+        # only the split's own files are read: a bad file in another split goes unnoticed
+        (tmp_path / "im00.ppm").write_bytes(b"P6\n4 ")
+        assert build_dataset(spec, 4, "test").tobytes() == whole[2].tobytes()
+
+    def test_build_dataset_ppm_empty_split_names_dir(self, tmp_path):
+        for i in range(5):
+            save_ppm(str(tmp_path / f"im{i}.ppm"), np.zeros((3, 4, 4)))
+        with pytest.raises(ValueError, match="5 .ppm files leave the val split empty") as ei:
+            build_dataset({"kind": "ppm_dir", "path": str(tmp_path)}, 4, "val")
+        assert str(tmp_path) in str(ei.value)
+
 
 class TestConfig:
     def test_minimal_config_defaults(self, tmp_path):
@@ -150,7 +180,13 @@ class TestConfig:
                          ({"dataset": {"kind": "ppm_dir", "path": str(tmp_path / "absent")}}, "absent"),
                          ({"grid": 5}, "grid"),
                          ({"grid": [{**axes, "transformer_on": "no"}]}, "grid entry 0.*transformer_on"),
-                         ({"grid": [{**axes, "label": 7}]}, "grid entry 0: label")):
+                         ({"grid": [{**axes, "label": 7}]}, "grid entry 0: label"),
+                         ({"dataset": {"kind": "ppm_dir", "path": str(tmp_path), "n": "x",
+                                       "seed": 2.5, "size": 99}}, r"\['n', 'seed', 'size'\]"),
+                         ({"dataset": {"path": str(tmp_path)}}, "path"),
+                         ({"dataset": {"kind": ["ppm_dir"]}}, "dataset kind"),
+                         ({"dataset": {"n": 8}, "batch": 2, "eval_every": 2}, "dataset n 8"),
+                         ({"dataset": {"n": 40}, "batch": 33}, "dataset n 40")):
             with pytest.raises(ConfigError, match=key):
                 config_from_dict({"seed": 1, **raw})
 

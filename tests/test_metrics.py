@@ -11,6 +11,7 @@ from dualvq.metrics import (
     emit_utilization,
     frechet_gaussian,
     gaussian_stats,
+    joint_basis,
     l1_metric,
     l2_metric,
     psnr,
@@ -106,6 +107,44 @@ class TestFrechet:
         mu, cov = gaussian_stats(feats)
         val = frechet_gaussian(mu, cov, mu, cov)
         assert 0.0 <= val < 1e-9
+
+
+def svd_frechet(f1, f2):
+    """Reference: with A the centred (n, d) features, C = Aᵀ A / (n - 1), so
+    tr((C1 C2)^1/2) is the sum of the singular values of A1 A2ᵀ / (n - 1)."""
+    a1, a2 = f1 - f1.mean(axis=0), f2 - f2.mean(axis=0)
+    cross = np.linalg.svd(a1 @ a2.T, compute_uv=False).sum()
+    mean_d2 = ((f1.mean(axis=0) - f2.mean(axis=0)) ** 2).sum()
+    return mean_d2 + ((a1 ** 2).sum() + (a2 ** 2).sum() - 2.0 * cross) / (f1.shape[0] - 1)
+
+
+def projected_frechet(f1, f2):
+    q = joint_basis(f1, f2)
+    return frechet_gaussian(*gaussian_stats(f1 @ q), *gaussian_stats(f2 @ q))
+
+
+class TestJointBasis:
+    @pytest.mark.parametrize("n, d", [(300, 64), (25, 8), (25, 512), (4, 10)])
+    @pytest.mark.parametrize("noise", [None, 0.5])
+    def test_projected_matches_svd_reference(self, n, d, noise):
+        # noise None: two unrelated sets; 0.5: a set and a perturbed copy, as
+        # latents and their reconstructions' latents are
+        rng = np.random.default_rng(n * d)
+        f1 = rng.normal(size=(n, d))
+        f2 = rng.normal(size=(n, d)) if noise is None else f1 + noise * rng.normal(size=(n, d))
+        q = joint_basis(f1, f2)
+        assert q.shape == (d, min(d, 2 * n + 1))
+        assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
+        ref = svd_frechet(f1, f2)
+        assert abs(projected_frechet(f1, f2) - ref) <= 1e-7 * ref
+
+    @pytest.mark.parametrize("n, d", [(300, 64), (25, 8)])
+    def test_full_rank_matches_unprojected(self, n, d):
+        rng = np.random.default_rng(n + d)
+        f1 = rng.normal(size=(n, d))
+        f2 = 1.3 * rng.normal(size=(n, d)) + 0.2
+        plain = frechet_gaussian(*gaussian_stats(f1), *gaussian_stats(f2))
+        assert abs(projected_frechet(f1, f2) - plain) <= 1e-12 * plain
 
 
 class TestUtilization:

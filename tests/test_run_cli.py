@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from dualvq.checkpoint import (CHECKPOINT_FILE, CsvLog, load_checkpoint, read_ro
                                truncate_to_step)
 from dualvq.codebook import load_codebook
 from dualvq.config import ConfigError, config_from_dict, experiment_hash
-from dualvq.data import batch_indices, build_dataset, save_ppm, split_dataset
+from dualvq.data import batch_indices, build_dataset, save_ppm, split_dataset, split_rows
 from dualvq.model import StepReport, training_step
+from dualvq.rng import component_rng
 from dualvq.run import export_codebook, run_ablation, run_eval, run_train
 
 
@@ -230,6 +232,21 @@ class TestRunEval:
         with pytest.raises(ConfigError):
             run_eval(result.final_checkpoint, split="holdout")
 
+    def test_only_the_used_rows_are_synthesized(self, tmp_path, monkeypatch):
+        drawn = []
+
+        def counting_rng(seed, *labels):
+            if labels[0] == "synth":
+                drawn.append(labels[1])
+            return component_rng(seed, *labels)
+
+        monkeypatch.setattr(dualvq.data, "component_rng", counting_rng)
+        result = run_train(config_from_dict(small_raw(tmp_path / "run", steps=2, eval_every=2)))
+        assert drawn == [*split_rows(40, "train"), *split_rows(40, "val")]
+        drawn.clear()
+        run_eval(result.final_checkpoint, split="val")
+        assert drawn == list(split_rows(40, "val"))
+
     def test_bad_stored_dataset_refused(self, tmp_path):
         result = run_train(config_from_dict(small_raw(tmp_path / "run", steps=2, eval_every=2)))
         ckpt = result.final_checkpoint
@@ -440,3 +457,14 @@ def test_every_export_resolves():
     namespace = {}
     exec("from dualvq import *", namespace)  # a stale name in __all__ raises here
     assert set(dualvq.__all__) <= namespace.keys()
+
+
+def test_every_traced_target_resolves(monkeypatch):
+    """The benchmark's traced run replaces each ``owner.__dict__[attr]`` that
+    bench/layers.py lists, so each must exist where it is listed."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from layers import STEP, TARGETS
+    from measure import _resolve
+
+    for owner_path, attr, *_ in (STEP, *TARGETS):
+        assert callable(_resolve(owner_path).__dict__.get(attr)), f"{owner_path}.{attr}"
