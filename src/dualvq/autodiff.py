@@ -3,10 +3,10 @@
 The engine covers exactly the operations the autoencoder stack needs:
 elementwise arithmetic with numpy-style broadcasting, matrix products,
 strided 2-d convolution and its transpose, layer normalisation, softmax,
-pointwise activations, reductions, and the reconstruction losses. Values
-are float64 throughout. The backward pass visits nodes in exact reverse
-insertion order, so two runs from the same seed produce bit-identical
-values and gradients.
+``attention`` (softmax(q·kᵀ·scale)·v as one node), pointwise activations,
+reductions, and the reconstruction losses. Values are float64 throughout.
+The backward pass visits nodes in exact reverse insertion order, so two
+runs from the same seed produce bit-identical values and gradients.
 
 Gradients accumulate into ``.grad`` on leaf tensors; calling ``backward``
 twice without zeroing in between adds the two passes together (documented
@@ -164,12 +164,18 @@ def _wants(t: Tensor) -> bool:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
+    """Add ``g`` to ``t.grad``. A first gradient that is already a writeable
+    C-contiguous float64 array is kept as it is, so gradients may share
+    memory: no backward function writes into a gradient it received or
+    passed on, and a later contribution makes a new array."""
     if not _wants(t):
         return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+    if t.grad is not None:
+        t.grad = np.asarray(t.grad + g)   # numpy gives 0-d sums back as scalars
+    elif type(g) is np.ndarray and g.dtype == np.float64 and g.flags.c_contiguous and g.flags.writeable:
+        t.grad = g
     else:
-        t.grad += g
+        t.grad = np.array(g, dtype=np.float64)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -564,17 +570,57 @@ def layernorm(x, gain, bias, eps=1e-5) -> Tensor:
     return _make(out_data, (x, gain, bias), bw, "layernorm")
 
 
+def _softmax_inplace(s):
+    """Max-subtracted softmax over the last dim, written into ``s``."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def _softmax_grad(g, y):
+    """y · (g − Σ g·y) over the last dim: the input gradient of a softmax
+    with output ``y``, as one new array."""
+    gx = g * y
+    np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+    gx *= y
+    return gx
+
+
 def softmax(x) -> Tensor:
     """Max-subtracted softmax over the last dim."""
     x = as_tensor(x)
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_inplace(np.array(x.data))
 
     def bw(g):
-        _accumulate(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+        _accumulate(x, _softmax_grad(g, y))
 
     return _make(y, (x,), bw, "softmax")
+
+
+def attention(q, k, v, scale) -> Tensor:
+    """softmax(q·kᵀ·scale)·v over stacked heads, (H,T,dh) queries against
+    (H,S,dh) keys and (H,S,dv) values, as one node. Its values and
+    gradients equal, bit for bit, those of the chain matmul, mul by
+    ``scale``, softmax, matmul."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if not q.ndim == k.ndim == v.ndim == 3 or k.shape[::2] != q.shape[::2] or v.shape[:2] != k.shape[:2]:
+        raise ShapeError(f"attention: need (H,T,dh), (H,S,dh), (H,S,dv), got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    kt = k.data.swapaxes(-1, -2)
+    y = np.matmul(q.data, kt)
+    y *= scale
+    _softmax_inplace(y)
+
+    def bw(g):
+        g_v = np.matmul(y.swapaxes(-1, -2), g)
+        gs = _softmax_grad(np.matmul(g, v.data.swapaxes(-1, -2)), y)
+        gs *= scale
+        _accumulate(q, np.matmul(gs, kt.swapaxes(-1, -2)))
+        _accumulate(k, np.swapaxes(np.matmul(q.data.swapaxes(-1, -2), gs), -1, -2))
+        _accumulate(v, g_v)
+
+    return _make(np.matmul(y, v.data), (q, k, v), bw, "attention")
 
 
 # -- pointwise activations ---------------------------------------------------

@@ -2,10 +2,15 @@
 straight-through pass, the two stop-gradient distance terms, and usage
 accounting.
 
-Distances are squared Euclidean, computed from explicit differences (not
-the expanded dot-product form) so that exact ties stay exact and break
-toward the lowest index. Loss terms use the mean over every element of
-the feature block.
+Distances are squared Euclidean. The nearest-entry search screens, then
+scores exactly: one GEMM per row block ranks the entries by
+‖e‖² − 2·f·e, every entry whose rank lies within a rigorous float64 error
+bound of the row's lowest rank is a candidate, and only the candidates get
+their distance from explicit differences, summed as a full (rows, K, d)
+scan sums it. So the result is that scan's: exact ties stay exact and
+break toward the lowest index. A row the screen cannot bound (a non-finite
+feature, entry or rank) gets the full scan. Loss terms use the mean over
+every element of the feature block.
 """
 
 from __future__ import annotations
@@ -20,8 +25,10 @@ from .autodiff import (ShapeError, Tensor, as_tensor, gather_rows, mse_loss, sto
 from . import tensor_io
 
 CODEBOOK_MAGIC = b"DVQC"
-# elements of the (rows, K, d) difference block nearest_indices forms at once (4 MiB)
+# elements of the (rows, K) rank block nearest_indices screens at once (4 MiB)
 NEAREST_BLOCK_ELEMS = 1 << 19
+_UNIT = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 class Codebook:
@@ -68,23 +75,62 @@ class QuantizationResult:
     commitment_term: Tensor     # scalar
 
 
+def _scan(f, e):
+    """Lowest-index argmin of the explicit-difference distances, over
+    (rows, K, d) blocks of at most NEAREST_BLOCK_ELEMS elements."""
+    rows = max(1, NEAREST_BLOCK_ELEMS // e.size)
+    out = np.empty(f.shape[0], dtype=np.int64)
+    for lo in range(0, f.shape[0], rows):
+        diff = f[lo : lo + rows, None, :] - e[None, :, :]
+        out[lo : lo + rows] = np.argmin(np.einsum("nkd,nkd->nk", diff, diff), axis=1)
+    return out
+
+
+def _screened(f, e):
+    """``_scan(f, e)`` for one row block, scoring only the screen's candidates."""
+    sq_e = np.einsum("kd,kd->k", e, e)
+    rank = f @ (-2.0 * e).T
+    rank += sq_e
+    # The rank and the explicit distance each err from their true values by
+    # at most γ_{d+2}·(‖f‖ + max‖e‖)² plus d underflows (Higham, Accuracy and
+    # Stability of Numerical Algorithms, §3.1), so the distance argmin ranks
+    # within twice their sum of the lowest rank; the factor 4 and d + 4 also
+    # cover rounding the bound itself.
+    d = e.shape[1]
+    norms = np.sqrt(np.einsum("nd,nd->n", f, f)) + np.sqrt(sq_e.max())
+    bound = rank.min(axis=1) + 4 * (d + 4) * (_UNIT * norms**2 + _TINY)
+    bound[~np.isfinite(bound)] = np.nan   # no bound, no candidate
+    r, c = np.nonzero(rank <= bound[:, None])
+    if len(r) * d > NEAREST_BLOCK_ELEMS:  # so many near-ties that scanning costs less memory
+        return _scan(f, e)
+    diff = f[r, None, :] - e[c, None, :]
+    rank.fill(np.inf)
+    rank[r, c] = np.einsum("nkd,nkd->nk", diff, diff)[:, 0]
+    idx = rank.argmin(axis=1)
+    unscreened = ~np.isfinite(rank[np.arange(len(idx)), idx])
+    if unscreened.any():
+        idx[unscreened] = _scan(f[unscreened], e)
+    return idx
+
+
 def nearest_indices(features, entries) -> np.ndarray:
     """Index of the closest entry per feature row; ties go to the lowest index.
 
-    Rows are compared in blocks of at most NEAREST_BLOCK_ELEMS difference
-    elements, so memory stays bounded as N and K grow; each row's distances
-    do not depend on the block it falls in."""
+    Equal, on every input, to ``_scan``, the full explicit-difference scan.
+    Rows are screened in blocks of at most NEAREST_BLOCK_ELEMS rank
+    elements, so memory stays bounded as N and K grow; each row's result
+    does not depend on the block it falls in."""
     f = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
     e = entries.data if isinstance(entries, Tensor) else np.asarray(entries, dtype=np.float64)
     if e.ndim != 2 or e.shape[0] < 1:
         raise ValueError(f"codebook entries must be a non-empty (K, d) table, got {e.shape}")
     if f.ndim != 2 or f.shape[1] != e.shape[1]:
         raise ShapeError(f"feature dim mismatch: features {f.shape} vs entries {e.shape}")
-    rows = max(1, NEAREST_BLOCK_ELEMS // e.size)
+    rows = max(1, NEAREST_BLOCK_ELEMS // e.shape[0])
     out = np.empty(f.shape[0], dtype=np.int64)
-    for lo in range(0, f.shape[0], rows):
-        diff = f[lo : lo + rows, None, :] - e[None, :, :]
-        out[lo : lo + rows] = np.argmin(np.einsum("nkd,nkd->nk", diff, diff), axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):   # non-finite rows go to _scan
+        for lo in range(0, f.shape[0], rows):
+            out[lo : lo + rows] = _screened(f[lo : lo + rows], e)
     return out
 
 

@@ -20,7 +20,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 
-from .data import split_rows
+from .data import ppm_names, split_rows
 from .model import TrainConfig
 from . import tensor_io
 
@@ -86,14 +86,17 @@ def _fill_defaults(raw: dict) -> ExperimentConfig:
                 f"dataset size {dataset['size']} does not match image_size {train.image_size}"
             )
         n = dataset["n"]
-        n_train, n_val = len(split_rows(n, "train")), len(split_rows(n, "val"))
-        if n_val < 1 or n_train < train.batch:
-            raise ConfigError(f"dataset n {n} is too small: its 80/10/10 split gives {n_train} "
-                              f"train images (batch is {train.batch}) and {n_val} val images")
+        what = f"dataset n {n}"
     else:
         path = dataset.get("path")
         if type(path) is not str or not os.path.isdir(path):
             raise ConfigError(f"dataset kind 'ppm_dir' needs a 'path' naming a directory, got {path!r}")
+        n = len(ppm_names(path))
+        what = f"dataset path {path} with {n} .ppm files"
+    n_train, n_val = len(split_rows(n, "train")), len(split_rows(n, "val"))
+    if n_val < 1 or n_train < train.batch:
+        raise ConfigError(f"{what} is too small: its 80/10/10 split gives {n_train} "
+                          f"train images (batch is {train.batch}) and {n_val} val images")
 
     cfg = ExperimentConfig(train=train, dataset=dataset,
                            eval_every=_integer(raw.get("eval_every", 100), "eval_every"),

@@ -162,10 +162,16 @@ def load_ppm(path: str) -> np.ndarray:
     return raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
+def ppm_names(dirpath: str) -> list[str]:
+    """The .ppm file names directly under a directory, sorted: the images of
+    a ``ppm_dir`` dataset, in order."""
+    return sorted(f for f in os.listdir(dirpath) if f.lower().endswith(".ppm"))
+
+
 def load_ppm_dir(dirpath: str, size: int, split: str | None = None) -> np.ndarray:
     """Load every .ppm under a directory (sorted by name) as one array, or
     with a ``split`` only the files of that split."""
-    names = sorted(f for f in os.listdir(dirpath) if f.lower().endswith(".ppm"))
+    names = ppm_names(dirpath)
     if not names:
         raise ValueError(f"no .ppm files under {dirpath}")
     if split is not None:

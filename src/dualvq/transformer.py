@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, add, gelu, layernorm, matmul, mul, softmax
+from .autodiff import ShapeError, Tensor, add, attention, gelu, layernorm, matmul
 
 
 class TransformerParams:
@@ -72,9 +72,7 @@ def _self_attention(x: Tensor, params: TransformerParams, layer: int) -> Tensor:
     q = matmul(x, params[p + "wq"]).reshape(k_tokens, heads, dh).swapaxes(0, 1)
     k = matmul(x, params[p + "wk"]).reshape(k_tokens, heads, dh).swapaxes(0, 1)
     v = matmul(x, params[p + "wv"]).reshape(k_tokens, heads, dh).swapaxes(0, 1)
-    scores = mul(matmul(q, k.swapaxes(1, 2)), 1.0 / np.sqrt(dh))
-    attn = softmax(scores)
-    mixed = matmul(attn, v).swapaxes(0, 1).reshape(k_tokens, d)
+    mixed = attention(q, k, v, 1.0 / np.sqrt(dh)).swapaxes(0, 1).reshape(k_tokens, d)
     return matmul(mixed, params[p + "wo"])
 
 

@@ -11,6 +11,7 @@ from conftest import record_criterion
 
 from dualvq.autodiff import (
     Tensor,
+    attention,
     backward,
     concat,
     conv2d,
@@ -152,6 +153,18 @@ def _conv_builder(transpose=False):
     return make
 
 
+# (heads, queries, keys, key dim, value dim)
+ATTENTION_CASES = [(1, 3, 3, 2, 2), (2, 4, 4, 2, 2), (2, 2, 5, 3, 1), (3, 1, 4, 2, 3), (1, 5, 2, 4, 2)]
+
+
+def _attention_builder(rng, trial):
+    h, t, s, dh, dv = ATTENTION_CASES[trial % len(ATTENTION_CASES)]
+    leaves = _rand_leaves(rng, (h, t, dh), (h, s, dh), (h, s, dv))
+    weights = Tensor(rng.normal(size=(h, t, dv)))
+    scale = 1.0 / np.sqrt(dh)
+    return leaves, lambda L: mul(attention(L[0], L[1], L[2], scale), weights).sum()
+
+
 def _structural_builder(rng, trial):
     m = int(rng.integers(2, 5))
     a, b = _rand_leaves(rng, (m, 3), (m, 2))
@@ -203,6 +216,7 @@ def test_criterion_1_gradient_suite():
         "sigmoid": _unary_builder(sigmoid),
         "softplus": _unary_builder(softplus),
         "softmax": _unary_builder(softmax),
+        "attention": _attention_builder,
         "layernorm": _layernorm_builder,
         "l1_loss": _ew_builder(l1_loss),
     }

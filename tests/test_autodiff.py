@@ -9,6 +9,7 @@ from dualvq.autodiff import (
     NonFiniteError,
     ShapeError,
     Tensor,
+    attention,
     backward,
     concat,
     conv2d,
@@ -478,6 +479,44 @@ class TestNormActivations:
             lambda rng, t: [(3, 5)], seed=14, tol=1e-5,
         )
 
+    @pytest.mark.parametrize("heads_view", [False, True])
+    def test_attention_bit_exact_with_unfused_chain(self, heads_view):
+        # heads_view builds q, k, v as the transformer does: (T, H·dh) rows
+        # reshaped and swapped into (H, T, dh) strided views
+        rng = np.random.default_rng(73)
+        for h, t, s, dh, dv in ((2, 5, 5, 3, 3), (1, 4, 6, 2, 5), (3, 7, 7, 4, 4)):
+            if heads_view:
+                t = s
+                dv = dh
+            arrays = [rng.normal(size=(h, n, m)) for n, m in ((t, dh), (s, dh), (s, dv))]
+            g = rng.normal(size=(h, t, dv))
+            scale = 1.0 / np.sqrt(dh)
+
+            def run(fused):
+                leaves = [Tensor(a.swapaxes(0, 1).reshape(a.shape[1], -1) if heads_view else a,
+                                 requires_grad=True) for a in arrays]
+                q, k, v = (x.reshape(x.shape[0], h, -1).swapaxes(0, 1) if heads_view else x
+                           for x in leaves)
+                if fused:
+                    y = attention(q, k, v, scale)
+                else:
+                    y = matmul(softmax(mul(matmul(q, k.swapaxes(1, 2)), scale)), v)
+                backward(weighted(y, g))
+                return y.data, [x.grad for x in leaves]
+
+            y_f, grads_f = run(True)
+            y_u, grads_u = run(False)
+            assert np.array_equal(y_f, y_u)
+            for got, want in zip(grads_f, grads_u):
+                assert np.array_equal(got, want)
+
+    def test_attention_shapes_checked(self):
+        q, k = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 4)))
+        with pytest.raises(ShapeError, match="attention"):
+            attention(q, k, Tensor(np.zeros((2, 4, 4))), 0.5)
+        with pytest.raises(ShapeError, match="attention"):
+            attention(q, Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((2, 5, 4))), 0.5)
+
     @pytest.mark.parametrize("fn,shift", [(relu, 0.0), (leaky_relu, 0.0), (gelu, 0.0),
                                           (sigmoid, 0.0), (softplus, 0.0)])
     def test_pointwise_fd(self, fn, shift):
@@ -545,6 +584,24 @@ class TestBackward:
         backward(loss)
         backward(loss)
         assert np.array_equal(x.grad, [2.0, 2.0])
+
+    def test_shared_first_gradients_accumulate_apart(self):
+        # add hands both operands views of one gradient array; later passes
+        # must not add into that shared memory
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        w = np.array([0.5, -1.0])
+        loss = weighted(a + b, w)
+        backward(loss)
+        assert np.shares_memory(a.grad, b.grad)
+        backward(loss)
+        backward(weighted(a, w))
+        assert np.array_equal(a.grad, 3 * w) and np.array_equal(b.grad, 2 * w)
+
+    def test_scalar_gradient_stays_a_0d_array(self):
+        x = Tensor(3.0, requires_grad=True)
+        backward(x * x)   # two contributions to one 0-d gradient
+        assert type(x.grad) is np.ndarray and x.grad.shape == () and x.grad == 6.0
 
     def test_determinism_bit_identical(self):
         def run():

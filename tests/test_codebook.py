@@ -1,6 +1,7 @@
 import math
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,19 @@ class TestNearest:
         for block in (1, entries.size * 7, entries.size * 300, 1 << 30):
             monkeypatch.setattr(codebook, "NEAREST_BLOCK_ELEMS", block)
             assert np.array_equal(nearest_indices(feats, entries), unblocked), block
+
+    def test_peak_memory_bounded_by_block(self):
+        rng = np.random.default_rng(32)
+        n, k, d = 8192, 1024, 4
+        feats, entries = rng.normal(size=(n, d)), rng.normal(size=(k, d))
+        tracemalloc.start()
+        try:
+            nearest_indices(feats, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole (N, K) distance table alone would be 64 MiB
+        assert peak <= 2 * codebook.NEAREST_BLOCK_ELEMS * 8 + 16 * n
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
@@ -292,6 +306,45 @@ class TestDump:
             path.write_bytes(bad)
             with pytest.raises(ValueError, match="cb.dvqc"):
                 load_codebook(str(path))
+
+
+def explicit_scan(feats, entries):
+    """Brute-force nearest entry: every explicit-difference distance, lowest
+    index among the minima (the first, for a row whose distances are all NaN)."""
+    with np.errstate(invalid="ignore"):   # inf - inf where a row and the table hold one
+        diff = feats[:, None, :] - entries[None, :, :]
+    return np.argmin(np.einsum("nkd,nkd->nk", diff, diff), axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 512), d=st.integers(1, 8), n=st.integers(1, 48), on_grid=st.booleans(),
+       log_scale=st.floats(-4.0, 2.0), seed=st.integers(0, 2**32 - 1),
+       bad=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3),
+       bad_entry=st.sampled_from([None, np.nan, np.inf]))
+def test_nearest_matches_explicit_scan(k, d, n, on_grid, log_scale, seed, bad, bad_entry):
+    """The screened search returns the brute-force scan's index on generic
+    data, exact ties, 1-ulp near-ties, magnitudes 1e-4 to 1e2, rows holding
+    NaN or ±inf, and a table holding one."""
+    rng = np.random.default_rng(seed)
+    if on_grid:   # small integers times a power of two: exact ties abound
+        step = 2.0 ** round(log_scale / math.log10(2.0))
+        entries = rng.integers(-3, 4, size=(k, d)) * step
+        feats = rng.integers(-6, 7, size=(n, d)) * (step / 2)
+    else:
+        entries = rng.normal(size=(k, d)) * 10.0 ** log_scale
+        feats = rng.normal(size=(n, d)) * 10.0 ** log_scale
+    pick = rng.integers(0, k, size=(n, 2))
+    for i in range(0, n, 3):   # a feature between two entries: an exact tie on the grid
+        entries[pick[i, 1]] = 2.0 * feats[i] - entries[pick[i, 0]]
+    for i in range(1, n, 3):   # a feature on an entry whose twin sits one ulp away
+        a, b = pick[i]
+        feats[i] = entries[a]
+        entries[b] = np.nextafter(entries[a], np.inf * rng.choice([-1.0, 1.0], size=d))
+    for value in bad:
+        feats[rng.integers(0, n), rng.integers(0, d)] = value
+    if bad_entry is not None:
+        entries[rng.integers(0, k), rng.integers(0, d)] = bad_entry
+    assert np.array_equal(nearest_indices(feats, entries), explicit_scan(feats, entries))
 
 
 @settings(max_examples=50, deadline=None)

@@ -190,6 +190,15 @@ class TestConfig:
             with pytest.raises(ConfigError, match=key):
                 config_from_dict({"seed": 1, **raw})
 
+    def test_ppm_dir_smaller_than_batch_names_dir(self, tmp_path):
+        for i in range(10):
+            save_ppm(str(tmp_path / f"im{i}.ppm"), np.zeros((3, 4, 4)))
+        spec = {"kind": "ppm_dir", "path": str(tmp_path)}
+        with pytest.raises(ConfigError, match=r"8 train images \(batch is 9\)") as ei:
+            config_from_dict({"seed": 1, "batch": 9, "dataset": spec})
+        assert str(tmp_path) in str(ei.value)
+        assert config_from_dict({"seed": 1, "batch": 8, "dataset": spec}).dataset == spec
+
     def test_split_mismatch_names_both_values(self):
         with pytest.raises(ConfigError) as ei:
             config_from_dict({"seed": 1, "split_global": 5, "split_local": 4})

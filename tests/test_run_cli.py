@@ -385,10 +385,16 @@ class TestCli:
     def test_config_error_exit_two(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         grid = [{"split_global": "a", "split_local": 4, "transformer_on": True, "codebook_total": 64}]
+        images = tmp_path / "images"   # 10 images: 8 train, fewer than a batch of 9
+        images.mkdir()
+        for i in range(10):
+            save_ppm(str(images / f"{i}.ppm"), np.zeros((3, 32, 32)))
         for raw, key in (({"nonsense_key": True}, "nonsense_key"), ({"steps": "ten"}, "steps"),
                          ({"eval_every": "x"}, "eval_every"),
                          ({"dataset": {"size": "big"}}, "dataset size"),
-                         ({"grid": grid}, "split_global")):
+                         ({"grid": grid}, "split_global"),
+                         ({"dataset": {"kind": "ppm_dir", "path": str(images)}, "batch": 9},
+                          f"dataset path {images} with 10 .ppm files")):
             cfg_path.write_text(json.dumps({"seed": 1, **raw}))
             proc = run_cli(["train", "--config", str(cfg_path)])
             assert proc.returncode == 2, proc.stderr
