@@ -137,11 +137,11 @@ class Tensor:
     def swapaxes(self, a, b):
         return swapaxes(self, a, b)
 
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return reduce_sum(self, axis=axis)
 
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
+    def mean(self, axis=None):
+        return reduce_mean(self, axis=axis)
 
 
 def as_tensor(x) -> Tensor:
@@ -663,16 +663,6 @@ def sigmoid(x) -> Tensor:
     return _pointwise(x, "sigmoid")
 
 
-def softplus(x) -> Tensor:
-    x = as_tensor(x)
-    out_data = np.logaddexp(0.0, x.data)
-
-    def bw(g):
-        _accumulate(x, g * expit(x.data))
-
-    return _make(out_data, (x,), bw, "softplus")
-
-
 # -- reductions and losses ---------------------------------------------------
 
 
@@ -684,28 +674,28 @@ def _norm_axis(axis, ndim):
     return tuple(sorted({a % ndim for a in axis}))
 
 
-def reduce_sum(x, axis=None, keepdims=False) -> Tensor:
+def reduce_sum(x, axis=None) -> Tensor:
     x = as_tensor(x)
     ax = _norm_axis(axis, x.ndim)
-    out_data = x.data.sum(axis=ax, keepdims=keepdims)
+    out_data = x.data.sum(axis=ax)
 
     def bw(g):
-        gk = g if keepdims else np.expand_dims(g, ax) if ax else g
+        gk = np.expand_dims(g, ax) if ax else g
         _accumulate(x, np.broadcast_to(gk, x.data.shape))
 
     return _make(out_data, (x,), bw, "sum")
 
 
-def reduce_mean(x, axis=None, keepdims=False) -> Tensor:
+def reduce_mean(x, axis=None) -> Tensor:
     x = as_tensor(x)
     ax = _norm_axis(axis, x.ndim)
     count = 1
     for a in ax:
         count *= x.data.shape[a]
-    out_data = x.data.mean(axis=ax, keepdims=keepdims)
+    out_data = x.data.mean(axis=ax)
 
     def bw(g):
-        gk = g if keepdims else np.expand_dims(g, ax) if ax else g
+        gk = np.expand_dims(g, ax) if ax else g
         _accumulate(x, np.broadcast_to(gk, x.data.shape) / count)
 
     return _make(out_data, (x,), bw, "mean")

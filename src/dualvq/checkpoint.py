@@ -1,7 +1,7 @@
 """Checkpoint directories and the step-metrics CSV.
 
 A checkpoint is a directory holding the one file ``CHECKPOINT_FILE``: a
-manifest line of compact sorted JSON (format version 4, config echo with
+manifest line of compact sorted JSON (format version 5, config echo with
 the seed, step, optimizer counters, usage ``counts`` and ``tensors``, the
 list of tensor keys), then one ``tensor_io`` dump per key in that order,
 ending exactly after the last. State keys (``global_cb``,
@@ -23,7 +23,7 @@ import numpy as np
 from . import tensor_io
 from .model import ModelState, TrainConfig, init_model
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 CHECKPOINT_FILE = "checkpoint.dvq"
 _MANIFEST_KEYS = {"step", "config", "adam_t_gen", "adam_t_disc", "counts", "tensors"}
 
@@ -85,11 +85,17 @@ def load_checkpoint(dirpath: str, config: TrainConfig | None = None) -> tuple[Mo
     if missing:
         raise ValueError(f"{path}: manifest lacks {sorted(missing)}")
     if config is None:
+        stored = manifest["config"]
         try:
-            config = TrainConfig.from_dict(manifest["config"])
+            if not isinstance(stored, dict):
+                raise TypeError(f"it is {stored!r}, not an object")
+            config = TrainConfig.from_dict(stored)
             config.validate()
         except (TypeError, ValueError) as e:
             raise ValueError(f"{path}: manifest config does not fit TrainConfig: {e}") from None
+        missing = config.to_dict().keys() - stored.keys()
+        if missing:  # a default filled in now could differ from the one the run used
+            raise ValueError(f"{path}: manifest config lacks {sorted(missing)}")
     counters = [manifest[k] for k in ("step", "adam_t_gen", "adam_t_disc")]
     if any(type(v) is not int or v < 0 for v in counters):
         raise ValueError(f"{path}: manifest step/adam_t_gen/adam_t_disc {counters} are not all counts")
@@ -99,6 +105,8 @@ def load_checkpoint(dirpath: str, config: TrainConfig | None = None) -> tuple[Mo
     params = dict(state.all_params())
     shapes = {prefix + k: p.data.shape
               for prefix in ("", "adam_m.", "adam_v.") for k, p in params.items()}
+    if not (isinstance(manifest["tensors"], list) and all(type(k) is str for k in manifest["tensors"])):
+        raise ValueError(f"{path}: manifest tensors {manifest['tensors']!r} is not a list of keys")
     keys = set(manifest["tensors"])
     if keys != shapes.keys():
         raise ValueError(f"{path}: tensors do not match the config's model: unknown "

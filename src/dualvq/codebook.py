@@ -48,10 +48,8 @@ class Codebook:
             entries = np.asarray(entries, dtype=np.float64)
             if entries.shape != (n_entries, dim):
                 raise ShapeError(f"entries shape {entries.shape} != ({n_entries}, {dim})")
-        elif rng is not None:
-            entries = rng.uniform(-1.0 / n_entries, 1.0 / n_entries, size=(n_entries, dim))
         else:
-            entries = np.zeros((n_entries, dim))
+            entries = rng.uniform(-1.0 / n_entries, 1.0 / n_entries, size=(n_entries, dim))
         self.entries = Tensor(entries, requires_grad=True, op="codebook")
         self.n_entries = n_entries
         self.dim = dim

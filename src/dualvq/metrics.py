@@ -34,15 +34,13 @@ def _check_same_shape(x, x_hat, what):
     return x, x_hat
 
 
-def psnr(x, x_hat, peak: float = 1.0) -> float:
-    """10*log10(peak^2 / MSE) in dB; +inf when the images coincide."""
+def psnr(x, x_hat) -> float:
+    """10*log10(1 / MSE) in dB (peak 1.0); +inf when the images coincide."""
     x, x_hat = _check_same_shape(x, x_hat, "psnr")
-    if peak <= 0:
-        raise ValueError(f"psnr peak must be positive, got {peak}")
     mse = float(((x - x_hat) ** 2).mean())
     if mse == 0.0:
         return float("inf")
-    return float(10.0 * np.log10(peak * peak / mse))
+    return float(10.0 * np.log10(1.0 / mse))
 
 
 def l1_metric(x, x_hat) -> float:

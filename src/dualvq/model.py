@@ -9,12 +9,13 @@ Encoder: a stride-2 conv stack (one ``enc.down{i}`` per entry of
 mirror image with transposed convs and a sigmoid output in [0,1].
 Discriminator: a small patch-style conv stack emitting a logit grid.
 
-The generator objective is L1 reconstruction + quantization terms + an
-adaptively weighted adversarial term; the adversarial weight is the ratio
-of the two gradient norms measured at the decoder's final conv weight,
-clamped to ``lambda_max``. Updates alternate generator/discriminator with
-Adam (beta1=0.5, beta2=0.9); the discriminator only trains from
-``disc_start_step`` on, before which the adversarial weight is zero.
+The adversarial objective is hinge only. The generator's is L1
+reconstruction + quantization terms + the adversarial term weighted by
+``DISC_WEIGHT`` and by the ratio of the two gradient norms at the decoder's
+final conv weight, clamped to ``lambda_max``. Updates alternate
+generator/discriminator with Adam (beta1=0.5, beta2=0.9); the
+discriminator only trains from ``disc_start_step`` on, before which the
+adversarial weight is zero.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .autodiff import (
     l1_loss,
     mul,
     relu,
-    softplus,
 )
 from .codebook import Codebook, usage_stats
 from .dual_quantizer import (
@@ -51,24 +51,23 @@ from .transformer import TransformerParams
 ADAM_BETAS = (0.5, 0.9)
 ADAM_EPS = 1e-8
 LAMBDA_DELTA = 1e-6
+DISC_WEIGHT = 0.8                           # VQ-GAN's discriminator weight
+TF_FF_DIM = 64                              # refiner feed-forward width
 
 
 @dataclass
 class TrainConfig:
     """Model + training knobs. Defaults are the desk-scale configuration;
     paper-scale values (256x256, 16x downsampling, 256+256 codebooks,
-    6-layer transformer, lr 4.5e-6, disc start 10k, weight 0.8) stay
-    expressible through the same fields."""
+    6-layer transformer, lr 4.5e-6, disc start 10k) stay expressible
+    through the same fields; the paper's weight 0.8 is ``DISC_WEIGHT``."""
 
     seed: int = 0
     steps: int = 1000
     batch: int = 8
     learning_rate: float = 1e-4
     disc_start_step: int = 500
-    disc_weight: float = 0.8
-    beta: float = 0.25
     lambda_max: float = 1e4
-    gan_loss: str = "hinge"                 # or "bce"
     image_size: int = 32
     enc_channels: tuple = (24, 48)          # downsample factor = 2 ** len
     disc_channels: tuple = (16, 32)
@@ -80,7 +79,6 @@ class TrainConfig:
     transformer_on: bool = True
     tf_layers: int = 2
     tf_heads: int = 2
-    tf_ff_dim: int = 64
     tf_zero_residual: bool = False
 
     def downsample_factor(self) -> int:
@@ -98,16 +96,14 @@ class TrainConfig:
                     or want is tuple and not all(type(c) is int for c in v)):
                 raise ValueError(f"config field {f_.name} must be of type {want.__name__}, got {v!r}")
         for name in ("steps", "batch", "image_size", "latent_channels", "codebook_total",
-                     "tf_layers", "tf_heads", "tf_ff_dim"):
+                     "tf_layers", "tf_heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name} must be positive, got {getattr(self, name)}")
-        for name in ("learning_rate", "beta", "lambda_max"):
+        for name in ("learning_rate", "lambda_max"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive, got {getattr(self, name)}")
-        if self.disc_start_step < 0 or self.disc_weight < 0:
-            raise ValueError("disc_start_step and disc_weight must be non-negative")
-        if self.gan_loss not in ("hinge", "bce"):
-            raise ValueError(f"gan_loss must be 'hinge' or 'bce', got {self.gan_loss!r}")
+        if self.disc_start_step < 0:
+            raise ValueError(f"disc_start_step must be non-negative, got {self.disc_start_step}")
         if self.quantizer_mode not in ("dual", "single"):
             raise ValueError(f"quantizer_mode must be 'dual' or 'single', got {self.quantizer_mode!r}")
         f = self.downsample_factor()
@@ -245,17 +241,17 @@ def init_model(config: TrainConfig) -> ModelState:
         tf_params = None
         if config.transformer_on:
             tf_params = TransformerParams(config.split_global, config.tf_layers, config.tf_heads,
-                                          config.tf_ff_dim, rng=component_rng(seed, "tf"),
+                                          TF_FF_DIM, rng=component_rng(seed, "tf"),
                                           zero_residual=config.tf_zero_residual)
         state.quantizer = DualQuantizerState(
             global_cb=Codebook(kg, config.split_global, rng=component_rng(seed, "cb_global")),
             local_cb=Codebook(kl, config.split_local, rng=component_rng(seed, "cb_local")),
             tf_params=tf_params, split_global=config.split_global,
-            split_local=config.split_local, beta=config.beta)
+            split_local=config.split_local)
     else:
         cb = Codebook(config.codebook_total, config.latent_channels,
                       rng=component_rng(seed, "cb_global"))
-        state.quantizer = SingleQuantizerState(cb=cb, beta=config.beta)
+        state.quantizer = SingleQuantizerState(cb=cb)
     state.gen_params.update(state.quantizer.named_params())
     state.init_adam()
     return state
@@ -315,9 +311,7 @@ def adaptive_lambda(grad_rec_norm: float, grad_gan_norm: float,
     return float(min(max(lam, 0.0), lambda_max))
 
 
-def _gen_gan_term(d_logits_fake: Tensor, kind: str) -> Tensor:
-    if kind == "bce":
-        return softplus(-d_logits_fake).mean()
+def _gen_gan_term(d_logits_fake: Tensor) -> Tensor:
     return -d_logits_fake.mean()
 
 
@@ -325,27 +319,21 @@ def _gen_gan_term(d_logits_fake: Tensor, kind: str) -> Tensor:
 class GenLosses:
     total: Tensor
     l_rec: Tensor
-    gan_term: Tensor | None
 
 
 def generator_losses(x: Tensor, x_hat: Tensor, d_logits_fake: Tensor | None,
-                     lam: float, quant_loss: Tensor, disc_weight: float = 0.8,
-                     gan_loss: str = "hinge") -> GenLosses:
+                     lam: float, quant_loss: Tensor) -> GenLosses:
     """Total generator objective: reconstruction + quantization + weighted
     adversarial term. With lam == 0 the result does not depend on the
     discriminator logits at all."""
     l_rec = l1_loss(x, x_hat)
     total = l_rec + quant_loss
-    gan_term = None
     if d_logits_fake is not None and lam != 0.0:
-        gan_term = _gen_gan_term(d_logits_fake, gan_loss)
-        total = total + mul(gan_term, lam * disc_weight)
-    return GenLosses(total=total, l_rec=l_rec, gan_term=gan_term)
+        total = total + mul(_gen_gan_term(d_logits_fake), lam * DISC_WEIGHT)
+    return GenLosses(total=total, l_rec=l_rec)
 
 
-def discriminator_loss(d_real: Tensor, d_fake: Tensor, gan_loss: str = "hinge") -> Tensor:
-    if gan_loss == "bce":
-        return 0.5 * (softplus(-d_real).mean() + softplus(d_fake).mean())
+def discriminator_loss(d_real: Tensor, d_fake: Tensor) -> Tensor:
     return 0.5 * (relu(1.0 - d_real).mean() + relu(1.0 + d_fake).mean())
 
 
@@ -406,11 +394,11 @@ def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
         backward(l1_loss(x, x_hat), wrt=[last_w])
         rec_norm = _grad_norm(last_w)
         state.zero_grads()
-        backward(_gen_gan_term(d_fake, cfg.gan_loss), wrt=[last_w])
+        backward(_gen_gan_term(d_fake), wrt=[last_w])
         gan_norm = _grad_norm(last_w)
         lam = adaptive_lambda(rec_norm, gan_norm, LAMBDA_DELTA, cfg.lambda_max)
 
-    losses = generator_losses(x, x_hat, d_fake, lam, quant, cfg.disc_weight, cfg.gan_loss)
+    losses = generator_losses(x, x_hat, d_fake, lam, quant)
     _check_finite(losses.total, state.step, "loss")
     state.zero_grads()
     backward(losses.total, wrt=list(state.gen_params.values()))
@@ -421,7 +409,7 @@ def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
         # d_fake is reused: restricting backward to the discriminator keeps
         # the generator graph behind it out of this update
         d_real = discriminate(state, x)
-        d_loss = discriminator_loss(d_real, d_fake, cfg.gan_loss)
+        d_loss = discriminator_loss(d_real, d_fake)
         _check_finite(d_loss, state.step, "discriminator loss")
         state.zero_grads()
         backward(d_loss, wrt=list(state.disc_params.values()))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_io
+from .autodiff import NonFiniteError
 from .checkpoint import (CHECKPOINT_FILE, CsvLog, format_cell, load_checkpoint, read_rows,
                          save_checkpoint, truncate_to_step)
 from .codebook import dump_codebook, usage_stats
@@ -196,13 +197,16 @@ def run_eval(checkpoint: str, split: str = "val", out_path: str | None = None) -
 
 
 def _grid_worker(payload: tuple) -> tuple:
+    """(row, reason): an entry that aborts gets nan metrics and its reason."""
     label, cfg = payload
-    result = run_train(cfg)
-    ev = result.last_eval
+    try:
+        ev, reason = run_train(cfg).last_eval, None
+    except NonFiniteError as e:
+        ev, reason = dict.fromkeys(ABLATION_COLUMNS[4:], float("nan")), str(e)
     desc_g = f"{'T' if cfg.train.transformer_on else 'S'}-{cfg.train.split_global}"
     desc_l = f"S-{cfg.train.split_local}"
     return (label, desc_g, desc_l, cfg.train.codebook_total,
-            ev["fid_star"], ev["psnr"], ev["l1"], ev["l2"])
+            *(ev[k] for k in ABLATION_COLUMNS[4:])), reason
 
 
 def grid_width(n_entries: int) -> int:
@@ -217,7 +221,9 @@ def grid_width(n_entries: int) -> int:
 
 
 def run_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> str:
-    """Train every grid entry and tabulate final metrics, one row per entry."""
+    """Train every grid entry and tabulate final metrics, one row per entry.
+    The table keeps every row; if an entry aborted, ``NonFiniteError`` then
+    names each one."""
     if not cfg.grid:
         raise ConfigError("run_ablation needs a non-empty grid")
     out_dir = out_dir or cfg.out_dir
@@ -234,16 +240,19 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> str:
     width = grid_width(len(payloads))
     if width > 1:
         with ProcessPoolExecutor(max_workers=width) as pool:
-            rows = list(pool.map(_grid_worker, payloads))
+            results = list(pool.map(_grid_worker, payloads))
     else:
-        rows = [_grid_worker(p) for p in payloads]
+        results = [_grid_worker(p) for p in payloads]
 
     path = os.path.join(out_dir, "ablation.csv")
     lines = [",".join(ABLATION_COLUMNS)]
-    for row in rows:
+    for row, _ in results:
         cells = [str(row[0]), str(row[1]), str(row[2])] + [format_cell(v) for v in row[3:]]
         lines.append(",".join(cells))
     tensor_io.atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    failed = [f"{row[0]}: {reason}" for row, reason in results if reason]
+    if failed:
+        raise NonFiniteError(f"{path} has nan metrics for aborted entries; " + "; ".join(failed))
     return path
 
 

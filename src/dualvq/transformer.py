@@ -5,7 +5,7 @@ because a codebook is an unordered set. Blocks are pre-normalisation:
 attention and feed-forward branches read a layernormed copy and add their
 output back. ``TransformerParams`` takes its sizes as plain arguments;
 ``model.init_model`` passes ``split_global`` and the ``tf_*`` fields of
-``TrainConfig``, which the config path has already checked.
+``TrainConfig``, which the config path has already checked, and ``TF_FF_DIM``.
 
 Residual output projections (attention out-projection and the second
 feed-forward matrix) carry no bias and initialise to zero, so a fresh
@@ -28,14 +28,14 @@ class TransformerParams:
     tokens with ``heads`` attention heads and ``ff_dim`` feed-forward units."""
 
     def __init__(self, dim: int, layers: int, heads: int, ff_dim: int,
-                 rng: np.random.Generator | None = None, zero_residual: bool = False):
+                 rng: np.random.Generator, zero_residual: bool = False):
         if min(dim, layers, heads, ff_dim) < 1 or dim % heads != 0:
             raise ValueError(f"transformer needs positive sizes and heads dividing dim, got "
                              f"dim={dim}, layers={layers}, heads={heads}, ff_dim={ff_dim}")
         self.dim, self.layers, self.heads = dim, layers, heads
 
         def draw(rows, cols):
-            if zero_residual or rng is None:
+            if zero_residual:
                 return np.zeros((rows, cols))
             return rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols))
 

@@ -28,7 +28,6 @@ from dualvq.autodiff import (
     relu,
     sigmoid,
     softmax,
-    softplus,
     straight_through,
 )
 from dualvq.checkpoint import read_rows
@@ -214,7 +213,6 @@ def test_criterion_1_gradient_suite():
         "leaky_relu": _unary_builder(leaky_relu, shift=-2.0),
         "gelu": _unary_builder(gelu),
         "sigmoid": _unary_builder(sigmoid),
-        "softplus": _unary_builder(softplus),
         "softmax": _unary_builder(softmax),
         "attention": _attention_builder,
         "layernorm": _layernorm_builder,

@@ -25,6 +25,8 @@ from dualvq.data import (
     split_rows,
     synth_dataset,
 )
+from dualvq.dual_quantizer import SingleQuantizerState
+from dualvq.model import DISC_WEIGHT, init_model
 
 
 class TestSynthetic:
@@ -153,8 +155,8 @@ class TestConfig:
         assert cfg.train.seed == 7
         assert cfg.train.learning_rate == 1e-4
         assert cfg.train.disc_start_step == 500
-        assert cfg.train.disc_weight == 0.8
-        assert cfg.train.beta == 0.25
+        assert DISC_WEIGHT == 0.8
+        assert init_model(cfg.train).quantizer.beta == SingleQuantizerState.beta == 0.25
         assert cfg.train.lambda_max == 1e4
         assert cfg.train.image_size == 32
         assert cfg.train.latent_channels == 8
@@ -186,7 +188,9 @@ class TestConfig:
                          ({"dataset": {"path": str(tmp_path)}}, "path"),
                          ({"dataset": {"kind": ["ppm_dir"]}}, "dataset kind"),
                          ({"dataset": {"n": 8}, "batch": 2, "eval_every": 2}, "dataset n 8"),
-                         ({"dataset": {"n": 40}, "batch": 33}, "dataset n 40")):
+                         ({"dataset": {"n": 40}, "batch": 33}, "dataset n 40"),
+                         ({"gan_loss": "hinge"}, "gan_loss"), ({"disc_weight": 0.8}, "disc_weight"),
+                         ({"beta": 0.25}, "beta"), ({"tf_ff_dim": 64}, "tf_ff_dim")):
             with pytest.raises(ConfigError, match=key):
                 config_from_dict({"seed": 1, **raw})
 

@@ -160,7 +160,7 @@ class TestRefine:
 
     def test_embed_heads_divisibility(self):
         with pytest.raises(ValueError):
-            TransformerParams(4, 1, 3, 8)
+            TransformerParams(4, 1, 3, 8, rng=component_rng(4, "tf"))
 
     def test_dim_mismatch(self):
         params = TransformerParams(4, 1, 2, 8, rng=component_rng(4, "tf"))

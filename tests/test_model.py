@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dualvq.autodiff import NonFiniteError, ShapeError, Tensor, backward, l1_loss, stop_gradient
 from dualvq.checkpoint import CHECKPOINT_FILE, load_checkpoint, save_checkpoint
@@ -38,6 +39,22 @@ def desk_config(**overrides):
 
 def tiny_batch(seed=0, n=4, size=32):
     return synth_dataset(seed, n, size)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """(checkpoint file path, its bytes) of a fresh desk model."""
+    ck = tmp_path_factory.mktemp("saved") / "ck"
+    save_checkpoint(init_model(desk_config(seed=19)), str(ck))
+    path = ck / CHECKPOINT_FILE
+    return path, path.read_bytes()
 
 
 class TestLayerTable:
@@ -145,8 +162,7 @@ class TestObjectives:
         x = Tensor(rng.uniform(size=(1, 3, 4, 4)))
         logits = Tensor(rng.normal(size=(1, 1, 2, 2)))
         lam = 2.0
-        parts = generator_losses(x, Tensor(x.data.copy()), logits, lam, Tensor(0.0),
-                                 disc_weight=0.8)
+        parts = generator_losses(x, Tensor(x.data.copy()), logits, lam, Tensor(0.0))
         assert abs(parts.total.item() - lam * 0.8 * (-logits.data.mean())) < 1e-12
 
     def test_scalar_recomposition_oracle(self):
@@ -156,8 +172,7 @@ class TestObjectives:
         logits = rng.normal(size=(2, 1, 2, 2))
         quant = 0.123
         lam = 1.7
-        parts = generator_losses(Tensor(x), Tensor(x_hat), Tensor(logits), lam,
-                                 Tensor(quant), disc_weight=0.8)
+        parts = generator_losses(Tensor(x), Tensor(x_hat), Tensor(logits), lam, Tensor(quant))
         manual = np.abs(x - x_hat).mean() + quant + lam * 0.8 * (-logits.mean())
         assert abs(parts.total.item() - manual) < 1e-12
 
@@ -181,14 +196,6 @@ class TestObjectives:
         for v in d_fake.reshape(-1):
             acc_f += max(0.0, 1.0 + v)
         manual = 0.5 * (acc_r / d_real.size + acc_f / d_fake.size)
-        assert abs(got - manual) < 1e-12
-
-    def test_bce_variant(self):
-        rng = np.random.default_rng(75)
-        d_real = rng.normal(size=(1, 1, 2, 2))
-        d_fake = rng.normal(size=(1, 1, 2, 2))
-        got = discriminator_loss(Tensor(d_real), Tensor(d_fake), gan_loss="bce").item()
-        manual = 0.5 * (np.logaddexp(0, -d_real).mean() + np.logaddexp(0, d_fake).mean())
         assert abs(got - manual) < 1e-12
 
 
@@ -241,7 +248,7 @@ class TestTrainingStep:
         x_hat = decode(state, z_q)
         d_fake = discriminate(state, x_hat)
         last_w = state.gen_params["dec.out.w"]
-        for loss_of in (lambda: l1_loss(x, x_hat), lambda: _gen_gan_term(d_fake, "hinge")):
+        for loss_of in (lambda: l1_loss(x, x_hat), lambda: _gen_gan_term(d_fake)):
             state.zero_grads()
             backward(loss_of())
             full = last_w.grad.copy()
@@ -258,17 +265,16 @@ class TestTrainingStep:
         z_q, _ = quantize_latents(state, encode(state, x))
         x_hat = decode(state, z_q)
         d_fake = discriminate(state, x_hat)
-        for kind in ("hinge", "bce"):
-            state.zero_grads()
-            d_real = discriminate(state, x)
-            backward(discriminator_loss(d_real, discriminate(state, stop_gradient(x_hat)), kind))
-            separate = {k: p.grad.copy() for k, p in state.disc_params.items()}
-            state.zero_grads()
-            backward(discriminator_loss(discriminate(state, x), d_fake, kind),
-                     wrt=list(state.disc_params.values()))
-            for k, p in state.disc_params.items():
-                assert np.array_equal(p.grad, separate[k]), (kind, k)
-            assert all(p.grad is None for p in state.gen_params.values())
+        state.zero_grads()
+        d_real = discriminate(state, x)
+        backward(discriminator_loss(d_real, discriminate(state, stop_gradient(x_hat))))
+        separate = {k: p.grad.copy() for k, p in state.disc_params.items()}
+        state.zero_grads()
+        backward(discriminator_loss(discriminate(state, x), d_fake),
+                 wrt=list(state.disc_params.values()))
+        for k, p in state.disc_params.items():
+            assert np.array_equal(p.grad, separate[k]), k
+        assert all(p.grad is None for p in state.gen_params.values())
 
     def test_generator_backward_fills_only_generator(self):
         # the generator update restricts backward to gen params; the bits match
@@ -278,7 +284,7 @@ class TestTrainingStep:
         z_q, results = quantize_latents(state, encode(state, x))
         x_hat = decode(state, z_q)
         total = generator_losses(x, x_hat, discriminate(state, x_hat), 0.5,
-                                 quant_loss_total(results), 0.8, "hinge").total
+                                 quant_loss_total(results)).total
         state.zero_grads()
         backward(total)
         full = {k: p.grad.copy() for k, p in state.gen_params.items()}
@@ -406,6 +412,8 @@ class TestCheckpointRoundTrip:
                       for w in ([-1] + short["window"], ["x"] + short["window"],
                                 [1.5] + short["window"])]
         refused_config = with_manifest(config={**manifest["config"], "latent_channels": 0})
+        partial_config = with_manifest(config={k: v for k, v in manifest["config"].items()
+                                               if k != "disc_start_step"})
         arrays, pos = [], 0
         for key in manifest["tensors"]:
             arr, pos = bytes_to_array(dumps, pos)
@@ -414,12 +422,37 @@ class TestCheckpointRoundTrip:
         for bad in (blob[:-8], line, blob + b"\0" * 8, b"{" + blob,
                     with_manifest(drop=["step"]), renamed, unknown_key, no_local, short_counts,
                     with_manifest(tensors=keys), narrower, no_window, not_object, *bad_counts,
-                    with_manifest(step="ten"), refused_config, bad_moment, old_format):
+                    with_manifest(step="ten"), refused_config, bad_moment, partial_config,
+                    with_manifest(config=[]), with_manifest(tensors=5), with_manifest(tensors=None),
+                    with_manifest(format_version=4), old_format):
             path.write_bytes(bad)
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 load_checkpoint(str(tmp_path / "ck"))
         with pytest.raises(ValueError, match="format 3"):
             load_checkpoint(str(tmp_path / "ck"))
+        path.write_bytes(with_manifest(format_version=4))
+        with pytest.raises(ValueError, match="format 4"):
+            load_checkpoint(str(tmp_path / "ck"))
+
+    @settings(max_examples=80, deadline=None)
+    @given(key=st.sampled_from(["adam_t_disc", "adam_t_gen", "config", "counts", "format_version",
+                                "step", "tensors"]), value=JSON_VALUES)
+    @example(key="config", value=[]).via("a config that parses as every default")
+    @example(key="tensors", value=5).via("not a list of keys")
+    def test_any_manifest_field_value_loads_or_names_the_file(self, saved_checkpoint, key, value):
+        # a loaded state's config is the manifest's, with no default filled in
+        path, blob = saved_checkpoint
+        line, _, dumps = blob.partition(b"\n")
+        manifest = json.loads(line)
+        assert key in manifest
+        manifest[key] = value
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + dumps)
+        try:
+            state, _ = load_checkpoint(str(path.parent))
+        except ValueError as e:
+            assert str(path) in str(e)
+        else:
+            assert state.config.to_dict() == manifest["config"]
 
 
 class TestDegenerateTransformerTraining:

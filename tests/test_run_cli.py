@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import dualvq
+from dualvq import run
+from dualvq.autodiff import NonFiniteError
 from dualvq.checkpoint import (CHECKPOINT_FILE, CsvLog, load_checkpoint, read_rows, save_checkpoint,
                                truncate_to_step)
 from dualvq.codebook import load_codebook
@@ -333,6 +335,29 @@ class TestAblation:
         for r in rows:
             for cell in r[3:]:
                 assert np.isfinite(float(cell))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_aborted_entry_keeps_the_table(self, tmp_path, monkeypatch, threads):
+        train = run.run_train
+
+        def abort_iii(cfg, **kw):
+            if os.path.basename(cfg.out_dir) == "iii":
+                raise NonFiniteError("step 3: non-finite loss")
+            return train(cfg, **kw)
+
+        monkeypatch.setattr(run, "run_train", abort_iii)
+        monkeypatch.setenv("DUALVQ_THREADS", threads)
+        cfg = config_from_dict(small_raw(tmp_path / "abl", steps=4, eval_every=2,
+                                         grid=TABLE3_GRID[:2]))
+        with pytest.raises(NonFiniteError) as ei:
+            run_ablation(cfg)
+        path = str(tmp_path / "abl" / "ablation.csv")
+        assert str(ei.value) == f"{path} has nan metrics for aborted entries; iii: step 3: non-finite loss"
+        header, rows = read_rows(path)
+        assert header == ["label", "global", "local", "codebook_total", "fid_star", "psnr", "l1", "l2"]
+        assert rows[0][:4] == ["ii", "S-4", "S-4", "64"]
+        assert all(np.isfinite(float(cell)) for cell in rows[0][4:])
+        assert rows[1] == ["iii", "T-6", "S-2", "64"] + ["nan"] * 4
 
     def test_empty_grid_rejected(self, tmp_path):
         cfg = config_from_dict(small_raw(tmp_path / "abl"))
