@@ -15,14 +15,20 @@ contract; the training loop zeroes explicitly between passes).
 
 Convolution. Every conv op (conv2d forward, input and kernel gradient,
 conv_transpose2d forward and backward) at every stride runs through one
-primitive: a stride-1 correlation with one GEMM per kernel tap.
+primitive: a stride-1 correlation on a flat grid (``_correlate``, and
+``_correlate_grad_taps`` for its kernel gradient).
 
 - The input is padded once into a flat channels-last buffer of shape
   (B·Hg·Wg + slack, C). Output cell p of tap (i, j) reads input cell
   p + i·Wg + j, so each tap reads one contiguous slice of the buffer. The
   GEMMs run over the whole padded-width grid, batch included, and the
-  junk cells past each row and image are cropped afterwards. The kernel
-  gradient is the same tap loop with slice^T @ g.
+  junk cells past each row and image are cropped afterwards.
+- A correlation whose input or output side has at most ``THIN_CHANNELS``
+  (3) channels expands that thin side over the k² taps, at most 27 rows,
+  within each row block, and runs one GEMM with a deep inner dimension:
+  k² GEMMs with an inner or outer dimension of 1-3 run far below BLAS
+  speed. A wider correlation runs one GEMM per kernel tap, and its kernel
+  gradient one slice^T @ g per tap.
 - Stride s > 1 becomes stride 1 through space-to-depth. The padded input
   folds s×s blocks into channels, giving (C·s², ⌈H/s⌉, ⌈W/s⌉). The kernel
   becomes (O, C·s², ⌈k/s⌉, ⌈k/s⌉), zero where s·a + r ≥ k. The kernel
@@ -31,9 +37,10 @@ primitive: a stride-1 correlation with one GEMM per kernel tap.
   correlation of the output gradient, padded by k' − 1, with the flipped,
   transposed space-to-depth kernel, followed by depth-to-space and a crop.
 
-No (B, C·kh·kw, H·W) column tensor is built: each temporary is a grid
-about the size of the padded input or output. The reduction order is
-fixed by the shapes, so reruns are bit-identical.
+No (B, C·kh·kw, H·W) column tensor is built. Each temporary is a grid
+about the size of the padded input or output, a channels-first copy of a
+thin side, or one row block of about ``CORRELATE_BLOCK_BYTES``. The
+reduction order is fixed by the shapes, so reruns are bit-identical.
 
 Both conv ops fuse an optional (1,O,1,1) ``bias`` and activation into
 their node, whose values and gradients equal, bit for bit, those of the
@@ -325,9 +332,15 @@ def matmul(a, b) -> Tensor:
 
 # -- convolution -----------------------------------------------------------
 
-# output bytes _correlate sums over the taps at a time, so the running sum,
-# its addend and the input rows stay in a core's L2 cache
+# bytes of temporaries per row block of a correlation: the tap loop's running
+# sum, or a thin path's expanded rows or partial sums. Blocks this size keep
+# them, their addends and the rows they read in a core's L2 cache.
 CORRELATE_BLOCK_BYTES = 1 << 18
+
+# a correlation side with at most this many channels is thin: it is expanded
+# over the kernel taps (at most 27 rows for a 3x3 kernel) rather than looped
+# over them
+THIN_CHANNELS = 3
 
 
 def _conv_extent(extent, k, stride, pad, what):
@@ -397,40 +410,116 @@ def _kernel_from_taps(taps, s, kh, kw):
     return k[:, :, :kh, :kw]
 
 
-def _tap_rows(buf, ah, aw, wg, n):
-    """(i, j, rows) per tap of a stride-1 correlation on a flat grid of row
-    width ``wg``: output cell p reads input cell p + i·wg + j, so tap (i, j)
-    sees the contiguous rows buf[i·wg + j :][:n]."""
-    for i in range(ah):
-        for j in range(aw):
-            yield i, j, buf[i * wg + j : i * wg + j + n]
+def _tap_shifts(ah, aw, wg):
+    """Row offset i·wg + j of each tap (i, j) of a stride-1 correlation on a
+    flat grid of row width ``wg``, in tap order: output cell p reads input
+    cell p + i·wg + j, so a tap sees the contiguous rows buf[shift :][:n]."""
+    return [i * wg + j for i in range(ah) for j in range(aw)]
+
+
+def _block_rows(width):
+    """Rows per block when each row holds ``width`` float64 temporaries."""
+    return max(1, CORRELATE_BLOCK_BYTES // (8 * width))
+
+
+def _expand(cols, shifts, lo, m):
+    """A thin side expanded over the taps for rows lo..lo+m, filled from its
+    channels-first copy ``cols`` (C, rows) as a transpose: row t·C + c of the
+    (taps·C, m) block is cols[c, lo + shifts[t] :][:m]."""
+    c = cols.shape[0]
+    out = np.empty((len(shifts) * c, m))
+    for t, sh in enumerate(shifts):
+        out[t * c : (t + 1) * c] = cols[:, lo + sh : lo + sh + m]
+    return out
 
 
 def _correlate(buf, taps, n, wg):
-    """out[p] = Σ_ij buf[p + i·wg + j] @ taps[i, j] for p < n, as one GEMM per
-    tap summed in tap order; returns (n, O). The rows go in blocks of about
-    CORRELATE_BLOCK_BYTES of output, so the running sum stays in cache."""
-    ah, aw, _, o = taps.shape
-    block = max(1, CORRELATE_BLOCK_BYTES // (8 * o))
+    """out[p] = Σ_ij buf[p + i·wg + j] @ taps[i, j] for p < n; returns (n, O).
+
+    Rows go in blocks of about CORRELATE_BLOCK_BYTES of temporaries:
+    - thin input (C ≤ THIN_CHANNELS): the block's input rows expanded over
+      the taps, (taps·C, rows), then one GEMM with a taps·C deep inner
+      dimension. Extra memory: a (C, n + reach) copy of the input and one
+      block.
+    - thin output (O ≤ THIN_CHANNELS): one GEMM into taps-major partial sums
+      (taps·O, rows + reach) over the block's rows plus the kernel's reach
+      (i·wg + j of the last tap), then k² shifted adds. Extra memory: one
+      block, plus taps·O·reach values.
+    - otherwise one GEMM per tap, summed in tap order; the running sum is the
+      output block itself, plus one addend."""
+    ah, aw, c, o = taps.shape
+    shifts = _tap_shifts(ah, aw, wg)
     out = np.empty((n, o))
+    if c <= THIN_CHANNELS:
+        cols = np.ascontiguousarray(buf.T)
+        w = taps.reshape(-1, o)
+        block = _block_rows(len(shifts) * c)
+        for lo in range(0, n, block):
+            m = min(block, n - lo)
+            np.matmul(_expand(cols, shifts, lo, m).T, w, out=out[lo : lo + m])
+        return out
+    if o <= THIN_CHANNELS:
+        w = taps.reshape(-1, c, o).swapaxes(1, 2).reshape(-1, c)     # (taps·O, C)
+        reach = shifts[-1]
+        block = _block_rows(len(shifts) * o)
+        for lo in range(0, n, block):
+            m = min(block, n - lo)
+            part = w @ buf[lo : lo + m + reach].T     # (taps·O, m + reach)
+            acc = part[:o, :m].copy()
+            for t, sh in enumerate(shifts[1:], 1):
+                acc += part[t * o : (t + 1) * o, sh : sh + m]
+            out[lo : lo + m] = acc.T
+        return out
+    flat = taps.reshape(-1, c, o)
+    block = _block_rows(o)
     tmp = np.empty((min(block, n), o))
     for lo in range(0, n, block):
-        acc = out[lo : lo + block]
-        for i, j, rows in _tap_rows(buf[lo:], ah, aw, wg, len(acc)):
-            if i == j == 0:
-                np.matmul(rows, taps[0, 0], out=acc)
-            else:
-                acc += np.matmul(rows, taps[i, j], out=tmp[: len(acc)])
+        m = min(block, n - lo)
+        acc = out[lo : lo + m]
+        np.matmul(buf[lo : lo + m], flat[0], out=acc)
+        for t, sh in enumerate(shifts[1:], 1):
+            acc += np.matmul(buf[lo + sh : lo + sh + m], flat[t], out=tmp[:m])
     return out
 
 
 def _correlate_grad_taps(buf, g, ah, aw, wg):
     """Gradient of ``_correlate`` w.r.t. its taps, for an output gradient
-    ``g`` (n, O) that is zero on cells outside the valid output."""
-    out = np.empty((ah, aw, buf.shape[1], g.shape[1]))
-    for i, j, rows in _tap_rows(buf, ah, aw, wg, g.shape[0]):
-        np.matmul(rows.T, g, out=out[i, j])
-    return out
+    ``g`` (n, O) that is zero on cells outside the valid output.
+
+    A thin side is expanded over the taps a row block at a time, as in
+    ``_correlate``, and the blocks' GEMMs are summed in row order:
+    - thin input: (taps·C, rows) @ g (rows, O) over the n output rows;
+    - thin output: g expanded to (taps·O, rows) @ buf (rows, C) over the
+      n + reach input rows.
+    Extra memory: a channels-first copy of the thin side (for g, zero-padded
+    by the reach at both ends) and one block of CORRELATE_BLOCK_BYTES.
+    Otherwise each tap is one GEMM over all rows, slice^T @ g."""
+    n, o = g.shape
+    c = buf.shape[1]
+    shifts = _tap_shifts(ah, aw, wg)
+    if c <= THIN_CHANNELS:
+        cols, rows, stop = np.ascontiguousarray(buf.T), g, n
+    elif o <= THIN_CHANNELS:
+        # input row q meets g[q - shift] at each tap: expand g, zero-padded by
+        # the reach on both sides, over the n + reach input rows
+        reach = shifts[-1]
+        cols = np.zeros((o, n + 2 * reach))
+        cols[:, reach : reach + n] = g.T
+        shifts = [reach - sh for sh in shifts]
+        rows, stop = buf, n + reach
+    else:
+        out = np.empty((len(shifts), c, o))
+        for t, sh in enumerate(shifts):
+            np.matmul(buf[sh : sh + n].T, g, out=out[t])
+        return out.reshape(ah, aw, c, o)
+    thin, wide = cols.shape[0], rows.shape[1]
+    block = _block_rows(len(shifts) * thin)
+    acc = np.zeros((len(shifts) * thin, wide))
+    for lo in range(0, stop, block):
+        m = min(block, stop - lo)
+        acc += _expand(cols, shifts, lo, m) @ rows[lo : lo + m]
+    acc = acc.reshape(ah, aw, thin, wide)
+    return acc if thin == c else acc.swapaxes(2, 3)
 
 
 def _conv_forward(x, w, stride, pad):

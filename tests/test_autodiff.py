@@ -331,53 +331,87 @@ def full_and_restricted_grads(op, a, b, g, stride, pad):
     return grads
 
 
+# (C, O) per conv: a correlation side with at most THIN_CHANNELS channels is
+# expanded over the taps and a wider one looped over them; at stride s the
+# correlation sees C·s² input channels, so each path meets every stride
+CHANNEL_PAIRS = ((1, 1), (1, 4), (4, 1), (2, 3), (4, 5))
+
+
+def check_conv2d_matches_loops(rng, stride, c, o, geometries):
+    for (h, ww), (kh, kw), pad in geometries:
+        where = (c, o, h, ww, kh, kw, pad)
+        x = rng.normal(size=(2, c, h, ww))
+        w = rng.normal(size=(o, c, kh, kw))
+        expected = conv2d_loops(x, w, stride, pad)
+        out = conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad)
+        assert out.shape == expected.shape
+        assert np.abs(out.data - expected).max() < 1e-10, where
+        g = rng.normal(size=expected.shape)
+        gx, gw = conv2d_loops_grads(x, w, g, stride, pad)
+        got_x, got_w = full_and_restricted_grads(conv2d, x, w, g, stride, pad)
+        for got in got_x:
+            assert np.abs(got - gx).max() < 1e-10, where
+        for got in got_w:
+            assert np.abs(got - gw).max() < 1e-10, where
+
+
+def check_conv_transpose2d_matches_loops(rng, stride, c, o, geometries):
+    for (h, ww), (kh, kw), pad in geometries:
+        where = (c, o, h, ww, kh, kw, pad)
+        w = rng.normal(size=(o, c, kh, kw))
+        y = rng.normal(size=conv2d_loops(np.zeros((2, c, h, ww)), w, stride, pad).shape)
+        # conv_transpose2d is conv2d's input gradient; its own gradients
+        # are conv2d (w.r.t. y) and conv2d's kernel gradient (w.r.t. w)
+        expected, _ = conv2d_loops_grads(np.zeros((2, c, h, ww)), w, y, stride, pad)
+        out = conv_transpose2d(Tensor(y), Tensor(w), stride=stride, pad=pad)
+        assert out.shape == expected.shape
+        assert np.abs(out.data - expected).max() < 1e-10, where
+        g = rng.normal(size=expected.shape)
+        gy = conv2d_loops(g, w, stride, pad)
+        _, gw = conv2d_loops_grads(g, w, y, stride, pad)
+        got_y, got_w = full_and_restricted_grads(conv_transpose2d, y, w, g, stride, pad)
+        for got in got_y:
+            assert np.abs(got - gy).max() < 1e-10, where
+        for got in got_w:
+            assert np.abs(got - gw).max() < 1e-10, where
+
+
 class TestConvGeometryGrid:
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_conv2d_matches_loops(self, stride):
         rng = np.random.default_rng(40 + stride)
-        for (h, ww), (kh, kw), pad in conv_geometries(stride):
-            x = rng.normal(size=(2, 2, h, ww))
-            w = rng.normal(size=(3, 2, kh, kw))
-            expected = conv2d_loops(x, w, stride, pad)
-            out = conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad)
-            assert out.shape == expected.shape
-            assert np.abs(out.data - expected).max() < 1e-10, (h, ww, kh, kw, pad)
-            g = rng.normal(size=expected.shape)
-            gx, gw = conv2d_loops_grads(x, w, g, stride, pad)
-            got_x, got_w = full_and_restricted_grads(conv2d, x, w, g, stride, pad)
-            for got in got_x:
-                assert np.abs(got - gx).max() < 1e-10, (h, ww, kh, kw, pad)
-            for got in got_w:
-                assert np.abs(got - gw).max() < 1e-10, (h, ww, kh, kw, pad)
+        for c, o in CHANNEL_PAIRS:
+            check_conv2d_matches_loops(rng, stride, c, o, conv_geometries(stride))
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_conv_transpose2d_matches_loops(self, stride):
         rng = np.random.default_rng(50 + stride)
-        for (h, ww), (kh, kw), pad in conv_geometries(stride):
-            w = rng.normal(size=(3, 2, kh, kw))
-            y = rng.normal(size=conv2d_loops(np.zeros((2, 2, h, ww)), w, stride, pad).shape)
-            # conv_transpose2d is conv2d's input gradient; its own gradients
-            # are conv2d (w.r.t. y) and conv2d's kernel gradient (w.r.t. w)
-            expected, _ = conv2d_loops_grads(np.zeros((2, 2, h, ww)), w, y, stride, pad)
-            out = conv_transpose2d(Tensor(y), Tensor(w), stride=stride, pad=pad)
-            assert out.shape == expected.shape
-            assert np.abs(out.data - expected).max() < 1e-10, (h, ww, kh, kw, pad)
-            g = rng.normal(size=expected.shape)
-            gy = conv2d_loops(g, w, stride, pad)
-            _, gw = conv2d_loops_grads(g, w, y, stride, pad)
-            got_y, got_w = full_and_restricted_grads(conv_transpose2d, y, w, g, stride, pad)
-            for got in got_y:
-                assert np.abs(got - gy).max() < 1e-10, (h, ww, kh, kw, pad)
-            for got in got_w:
-                assert np.abs(got - gw).max() < 1e-10, (h, ww, kh, kw, pad)
+        for c, o in CHANNEL_PAIRS:
+            check_conv_transpose2d_matches_loops(rng, stride, c, o, conv_geometries(stride))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_row_blocks_match_loops(self, stride, monkeypatch):
+        # blocks of a few rows, so every path splits its rows into several
+        # blocks and ends on a ragged one
+        monkeypatch.setattr(ad, "CORRELATE_BLOCK_BYTES", 8 * 9 * 7)
+        rng = np.random.default_rng(45 + stride)
+        geometries = [((7, 9), (3, 3), 1), ((6, 8), (4, 4), 1), ((5, 6), (3, 2), 0)]
+        for c, o in CHANNEL_PAIRS:
+            check_conv2d_matches_loops(rng, stride, c, o, geometries)
+            check_conv_transpose2d_matches_loops(rng, stride, c, o, geometries)
 
     @pytest.mark.parametrize("op,x_shape,w_shape,stride", [
         (conv2d, (8, 24, 32, 32), (24, 24, 3, 3), 1),
         (conv_transpose2d, (8, 24, 16, 16), (24, 24, 4, 4), 2),
+        (conv2d, (8, 24, 32, 32), (3, 24, 3, 3), 1),    # dec.out: thin output
+        (conv2d, (8, 32, 8, 8), (1, 32, 3, 3), 1),      # disc.out: one output channel
     ])
     def test_peak_memory_has_no_column_tensor(self, op, x_shape, w_shape, stride):
         # A k²-expanded column tensor alone is 4.5x (3x3) or 3.2x (4x4 at
-        # stride 2) the input-plus-output bytes, on top of the grids.
+        # stride 2) the input-plus-output bytes of the wide shapes, and 8.0x
+        # (dec.out) or 8.7x (disc.out) those of the thin ones, on top of the
+        # grids. Expanding only a thin side, a row block at a time, stays
+        # under the same bound.
         rng = np.random.default_rng(60)
         x = Tensor(rng.normal(size=x_shape), requires_grad=True)
         w = Tensor(rng.normal(size=w_shape), requires_grad=True)
