@@ -27,8 +27,9 @@ primitive: a stride-1 correlation on a flat grid (``_correlate``, and
   (3) channels expands that thin side over the k² taps, at most 27 rows,
   within each row block, and runs one GEMM with a deep inner dimension:
   k² GEMMs with an inner or outer dimension of 1-3 run far below BLAS
-  speed. A wider correlation runs one GEMM per kernel tap, and its kernel
-  gradient one slice^T @ g per tap.
+  speed. The kernel gradient does the same for a thin output side only.
+  Otherwise one GEMM runs per kernel tap: slice @ tap for the correlation,
+  slice^T @ g for its kernel gradient.
 - Stride s > 1 becomes stride 1 through space-to-depth. The padded input
   folds s×s blocks into channels, giving (C·s², ⌈H/s⌉, ⌈W/s⌉). The kernel
   becomes (O, C·s², ⌈k/s⌉, ⌈k/s⌉), zero where s·a + r ≥ k. The kernel
@@ -486,40 +487,33 @@ def _correlate_grad_taps(buf, g, ah, aw, wg):
     """Gradient of ``_correlate`` w.r.t. its taps, for an output gradient
     ``g`` (n, O) that is zero on cells outside the valid output.
 
-    A thin side is expanded over the taps a row block at a time, as in
-    ``_correlate``, and the blocks' GEMMs are summed in row order:
-    - thin input: (taps·C, rows) @ g (rows, O) over the n output rows;
-    - thin output: g expanded to (taps·O, rows) @ buf (rows, C) over the
-      n + reach input rows.
-    Extra memory: a channels-first copy of the thin side (for g, zero-padded
-    by the reach at both ends) and one block of CORRELATE_BLOCK_BYTES.
-    Otherwise each tap is one GEMM over all rows, slice^T @ g."""
+    Each tap is one GEMM over all rows, slice^T @ g, unless the output is
+    thin (O ≤ THIN_CHANNELS). Then g, zero-padded by the kernel's reach at
+    both ends, is expanded over the taps a row block at a time, as in
+    ``_correlate``, and each block runs one (taps·O, rows) @ buf (rows, C)
+    GEMM over the n + reach input rows; the blocks are summed in row order.
+    Extra memory: the padded (O, n + 2·reach) copy of g and one block of
+    CORRELATE_BLOCK_BYTES."""
     n, o = g.shape
     c = buf.shape[1]
     shifts = _tap_shifts(ah, aw, wg)
-    if c <= THIN_CHANNELS:
-        cols, rows, stop = np.ascontiguousarray(buf.T), g, n
-    elif o <= THIN_CHANNELS:
-        # input row q meets g[q - shift] at each tap: expand g, zero-padded by
-        # the reach on both sides, over the n + reach input rows
-        reach = shifts[-1]
-        cols = np.zeros((o, n + 2 * reach))
-        cols[:, reach : reach + n] = g.T
-        shifts = [reach - sh for sh in shifts]
-        rows, stop = buf, n + reach
-    else:
+    if o > THIN_CHANNELS:
         out = np.empty((len(shifts), c, o))
         for t, sh in enumerate(shifts):
             np.matmul(buf[sh : sh + n].T, g, out=out[t])
         return out.reshape(ah, aw, c, o)
-    thin, wide = cols.shape[0], rows.shape[1]
-    block = _block_rows(len(shifts) * thin)
-    acc = np.zeros((len(shifts) * thin, wide))
-    for lo in range(0, stop, block):
-        m = min(block, stop - lo)
-        acc += _expand(cols, shifts, lo, m) @ rows[lo : lo + m]
-    acc = acc.reshape(ah, aw, thin, wide)
-    return acc if thin == c else acc.swapaxes(2, 3)
+    # input row q meets g[q - shift] at each tap: expand g, zero-padded by
+    # the reach on both sides, over the n + reach input rows
+    reach = shifts[-1]
+    cols = np.zeros((o, n + 2 * reach))
+    cols[:, reach : reach + n] = g.T
+    shifts = [reach - sh for sh in shifts]
+    block = _block_rows(len(shifts) * o)
+    acc = np.zeros((len(shifts) * o, c))
+    for lo in range(0, n + reach, block):
+        m = min(block, n + reach - lo)
+        acc += _expand(cols, shifts, lo, m) @ buf[lo : lo + m]
+    return acc.reshape(ah, aw, o, c).swapaxes(2, 3)
 
 
 def _conv_forward(x, w, stride, pad):
