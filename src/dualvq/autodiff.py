@@ -46,14 +46,34 @@ reduction order is fixed by the shapes, so reruns are bit-identical.
 Both conv ops fuse an optional (1,O,1,1) ``bias`` and activation into
 their node, whose values and gradients equal, bit for bit, those of the
 unfused chain conv, ``+ bias``, activation.
+
+Special functions. numpy is the engine's only dependency, so the two
+special functions the model needs are numpy kernels here:
+
+- ``erf``, for the exact ``gelu``, ports the rational approximations of
+  Cephes ``ndtr.c`` (Moshier), coefficients included: x·T(x²)/U(x²) for
+  |x| ≤ 1 and 1 − exp(−x²)·P(|x|)/Q(|x|) with the sign of x for
+  1 < |x| < 6. Past 6, erfc is below 2⁻⁵⁴ and erf rounds to ±1. The
+  polynomials run in Cephes' Horner order, so where the values differ
+  from ``scipy.special.erf`` (a libm build of Cephes) numpy's ``exp`` is
+  the cause, and only |x| > 1 uses it. The tests hold it to 1 ulp of
+  scipy's. It keeps the sign of −0.0.
+- ``expit``, the ``sigmoid``, is 1/(1 + exp(−x)); exp overflows to inf
+  below x ≈ −709.8, where the value is 0. The tests hold it to 4 ulp of
+  ``scipy.special.expit``.
+
+Both let NaN through, which ``first_nonfinite`` relies on.
+
+``no_grad()`` is a scope in which new nodes record no parents and no
+backward function, so a forward pass keeps no intermediates alive.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
-from scipy.special import erf, expit
 
 
 class ShapeError(ValueError):
@@ -68,6 +88,9 @@ _node_ids = itertools.count()
 
 # ids of the tensors a restricted backward pass fills; None outside one
 _wanted: set[int] | None = None
+
+# False inside ``no_grad()``: new nodes build no backward graph
+_grad_on = True
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -159,9 +182,20 @@ def as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Scope in which operations build no backward graph: their results
+    require no grad and hold no parents, whatever their operands."""
+    global _grad_on
+    prev, _grad_on = _grad_on, False
+    try:
+        yield
+    finally:
+        _grad_on = prev
+
+
 def _make(data, parents, backward_fn, op):
-    requires = any(p.requires_grad for p in parents)
-    if not requires:
+    if not (_grad_on and any(p.requires_grad for p in parents)):
         return Tensor(data, requires_grad=False, op=op, _parents=(), _backward_fn=False)
     return Tensor(data, requires_grad=True, op=op, _parents=tuple(parents), _backward_fn=backward_fn)
 
@@ -547,6 +581,59 @@ def _conv_grad_x(g, w, stride, pad, h, ww):
     buf = _to_grid(g, 1, (ah - 1, aw - 1), hg, wg, (ah, aw))
     out = _correlate(buf, flipped, b * hg * wg, wg)
     return _from_grid(out.reshape(b, hg, wg, -1), stride, pad, h, ww)
+
+
+# Cephes ndtr.c: erf(x) = x·T(x²)/U(x²) for |x| ≤ 1 and erfc(x) =
+# exp(−x²)·P(x)/Q(x) for 1 ≤ x < 8, highest power first; U and Q have an
+# implied leading coefficient 1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# erfc(6) < 2⁻⁵⁴, so 1 − erfc rounds to 1 from here on
+ERF_CLIP = 6.0
+
+
+def _polevl(x, coefs, monic=False):
+    """Cephes polevl (p1evl with ``monic``, an implied leading 1): Horner's
+    rule in Cephes' order, so the same bits."""
+    y = x + coefs[0] if monic else x * coefs[0] + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        y *= x
+        y += c
+    return y
+
+
+def erf(x):
+    """The error function of a float64 array, as Cephes computes it.
+
+    T/U runs on the whole array and P/Q only on the cells with |x| > 1,
+    about a tenth of a gelu input. Those cells are gathered and scattered
+    by flat index, which costs far less than two boolean-mask passes."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):   # x² overflows; such cells have |x| > 1
+        z = x * x
+        y = np.asarray(x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, monic=True))   # 0-d stays an array
+    big = np.flatnonzero(np.abs(x) > 1.0)    # not NaN, which T/U passes through
+    if big.size:
+        xb = np.take(x, big)
+        a = np.minimum(np.abs(xb), ERF_CLIP)
+        erfc = np.exp(-a * a) * _polevl(a, _ERFC_P) / _polevl(a, _ERFC_Q, monic=True)
+        np.put(y, big, np.copysign(1.0 - erfc, xb))
+    return y
+
+
+def expit(x):
+    """The logistic sigmoid 1/(1 + exp(−x)) of a float64 array. exp(−x)
+    overflows to inf below x ≈ −709.8, where the value is 0, silently."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 # forward and gradient, from the output y, of each activation: the fused

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_io
-from .autodiff import NonFiniteError
+from .autodiff import NonFiniteError, no_grad
 from .checkpoint import (CHECKPOINT_FILE, CsvLog, format_cell, load_checkpoint, read_rows,
                          save_checkpoint, truncate_to_step)
 from .codebook import dump_codebook, usage_stats
@@ -66,13 +66,14 @@ def evaluate_state(state: ModelState, images: np.ndarray) -> dict:
     quantized latents of the images and of their reconstructions, taken on
     the span of both (``joint_basis``); it is not Inception-FID.
     """
-    recon, latents = _reconstruct_all(state, images)
+    with no_grad():   # forward only: no backward graph holds a chunk's intermediates
+        recon, latents = _reconstruct_all(state, images)
+        # the reconstructions' latents need no decoder pass
+        recon_latents = np.concatenate([quantize_images(state, recon[lo:hi])[0].data.reshape(hi - lo, -1)
+                                        for lo, hi in _chunks(recon.shape[0], _EVAL_CHUNK)])
     psnrs = [psnr(images[i], recon[i]) for i in range(images.shape[0])]
     l1s = [l1_metric(images[i], recon[i]) for i in range(images.shape[0])]
     l2s = [l2_metric(images[i], recon[i]) for i in range(images.shape[0])]
-    # the reconstructions' latents need no decoder pass
-    recon_latents = np.concatenate([quantize_images(state, recon[lo:hi])[0].data.reshape(hi - lo, -1)
-                                    for lo, hi in _chunks(recon.shape[0], _EVAL_CHUNK)])
     q = joint_basis(latents, recon_latents)
     fid = frechet_gaussian(*gaussian_stats(latents @ q), *gaussian_stats(recon_latents @ q))
     return {

@@ -1,8 +1,9 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
+import scipy.special   # the reference for the engine's own erf and expit kernels
 
 from dualvq import autodiff as ad
 from dualvq.autodiff import (
@@ -23,6 +24,7 @@ from dualvq.autodiff import (
     mse_loss,
     mul,
     narrow,
+    no_grad,
     relu,
     sigmoid,
     softmax,
@@ -461,7 +463,7 @@ class TestFusedConv:
         # fused and standalone activations share one table; pin its arithmetic
         rng = np.random.default_rng(72)
         x, g = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-        s = expit(x)
+        s = 1.0 / (1.0 + np.exp(-x))
         for fn, y, gx in ((relu, np.maximum(x, 0.0), g * (x > 0.0)),
                           (leaky_relu, np.where(x > 0.0, x, 0.2 * x), g * np.where(x > 0.0, 1.0, 0.2)),
                           (sigmoid, s, g * s * (1.0 - s))):
@@ -569,6 +571,116 @@ class TestNormActivations:
     def test_loss_shape_mismatch(self):
         with pytest.raises(ShapeError):
             mse_loss(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+
+
+# bounds fixed before the kernels were written: the erf port differs from
+# Cephes only through numpy's exp, the sigmoid through exp and 1/(1 + e)
+ERF_ULPS = 1
+EXPIT_ULPS = 4
+
+
+def ulp_distance(a, b):
+    """Units in the last place between float64 arrays, counted on a
+    monotone integer line through zero."""
+    ia, ib = (np.where(v.view(np.int64) < 0, np.iinfo(np.int64).min - v.view(np.int64), v.view(np.int64))
+              for v in (a, b))
+    return np.abs(ia - ib)
+
+
+def kernel_sweep(specials):
+    rng = np.random.default_rng(80)
+    tiny = np.finfo(np.float64).tiny
+    edges = [0.0, 1.0, ad.ERF_CLIP, 5e-324, tiny / 2, tiny, 1e-300, 1e154, 1e300, np.inf]
+    edges += [np.nextafter(e, np.inf) for e in (1.0, ad.ERF_CLIP)]
+    edges += [np.nextafter(e, 0.0) for e in (1.0, ad.ERF_CLIP)]
+    pos = np.concatenate([edges, specials, rng.exponential(size=20000), rng.exponential(size=20000) * 4,
+                          np.linspace(0.0, 8.0, 40001)])
+    return np.concatenate([pos, -pos, [np.nan]])
+
+
+def strict_kernel(fn, x):
+    """``fn(x)`` with numpy's default floating-point warnings (all but
+    underflow) raised as errors."""
+    with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+        warnings.simplefilter("error")
+        return fn(x)
+
+
+class TestSpecialFunctions:
+    def test_erf_within_one_ulp_of_cephes(self):
+        x = kernel_sweep([0.5, 2.0, 3.5, 26.5, 27.0, 710.0, 1e10])
+        got, want = strict_kernel(ad.erf, x), scipy.special.erf(x)
+        same = ~np.isnan(want)
+        assert np.array_equal(np.isnan(got), ~same)
+        assert np.array_equal(np.signbit(got[same]), np.signbit(want[same]))   # -0.0 stays -0.0
+        assert ulp_distance(got[same], want[same]).max() <= ERF_ULPS
+
+    def test_erf_edges_exact(self):
+        x = np.array([0.0, -0.0, ad.ERF_CLIP, -ad.ERF_CLIP, 1e300, np.inf, -np.inf, 5e-324, -5e-324])
+        got = strict_kernel(ad.erf, x)
+        assert got.tobytes() == np.array([0.0, -0.0, 1.0, -1.0, 1.0, 1.0, -1.0, 5e-324, -5e-324]).tobytes()
+        assert np.isnan(strict_kernel(ad.erf, np.array([np.nan]))).all()
+        assert strict_kernel(ad.erf, np.array(2.0)).shape == ()
+        assert strict_kernel(ad.erf, np.array(2.0)) == scipy.special.erf(2.0)
+
+    def test_erf_of_any_layout(self):
+        # the |x| > 1 cells go by flat index: a transposed or strided input keeps its cells
+        x = np.random.default_rng(83).normal(size=(7, 10)) * 2
+        want = ad.erf(x)
+        assert np.array_equal(strict_kernel(ad.erf, x.T), want.T)
+        assert np.array_equal(strict_kernel(ad.erf, x[:, ::3]), want[:, ::3])
+
+    def test_expit_within_four_ulp_of_scipy(self):
+        x = kernel_sweep([-705.0, -709.0, -709.5, -709.78, -710.0, -745.0, -746.0, -800.0, -1e300,
+                          36.0, 37.0, 40.0])
+        x = np.concatenate([x, -np.linspace(700.0, 760.0, 6001)])
+        got, want = strict_kernel(ad.expit, x), scipy.special.expit(x)
+        same = ~np.isnan(want)
+        assert np.array_equal(np.isnan(got), ~same)
+        assert ulp_distance(got[same], want[same]).max() <= EXPIT_ULPS
+        below = x[same] <= -710.0   # exp(-x) overflows: the value is 0, with no warning
+        assert below.sum() > 100 and not got[same][below].any()
+
+    def test_expit_edges_exact(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0])
+        assert strict_kernel(ad.expit, x).tobytes() == np.array([0.5, 0.5, 1.0, 0.0, 1.0, 0.0]).tobytes()
+
+    def test_gelu_uses_the_kernel(self):
+        x = np.random.default_rng(81).normal(size=(6, 7)) * 3
+        phi = 0.5 * (1.0 + ad.erf(x * (1.0 / np.sqrt(2.0))))
+        assert np.array_equal(gelu(Tensor(x)).data, x * phi)
+
+
+class TestNoGrad:
+    def test_no_graph_inside_and_restored_after(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        with no_grad():
+            y = gelu(mul(x, x))
+            with no_grad():
+                pass
+            z = sigmoid(y)   # the inner scope's exit keeps the outer one
+        assert not y.requires_grad and y._parents == () and not z.requires_grad
+        assert x.requires_grad
+        w = mul(x, x)
+        assert w.requires_grad and w._parents == (x, x)
+
+    def test_scope_ends_on_error(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ShapeError), no_grad():
+            matmul(x, x)
+        assert mul(x, x).requires_grad
+
+    def test_same_values(self):
+        rng = np.random.default_rng(82)
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+
+        def forward():
+            return gelu(conv2d(x, w, pad=1, act="sigmoid")).data
+
+        with no_grad():
+            off = forward()
+        assert forward().tobytes() == off.tobytes()
 
 
 class TestBackward:

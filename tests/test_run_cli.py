@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import dualvq
+from dualvq import autodiff as ad
 from dualvq import run
 from dualvq.autodiff import NonFiniteError
 from dualvq.checkpoint import (CHECKPOINT_FILE, CsvLog, load_checkpoint, read_rows, save_checkpoint,
@@ -228,6 +230,27 @@ class TestRunEval:
         for k in ("psnr", "l1", "l2", "fid_star"):
             assert a[k] == b[k]
 
+    def test_eval_builds_no_graph(self, tmp_path, monkeypatch):
+        cfg = config_from_dict(small_raw(tmp_path / "run", steps=2, eval_every=2))
+        state, _ = load_checkpoint(run_train(cfg).final_checkpoint)
+        images = build_dataset(cfg.dataset, cfg.train.image_size, "val")
+        with_graph = []
+        make = ad._make
+
+        def recording_make(data, parents, backward_fn, op):
+            out = make(data, parents, backward_fn, op)
+            with_graph.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(ad, "_make", recording_make)
+        ev = run.evaluate_state(state, images)
+        assert with_graph and not any(with_graph)
+        monkeypatch.setattr(run, "no_grad", contextlib.nullcontext)   # the same pass with a graph
+        ev_graph = run.evaluate_state(state, images)
+        assert any(with_graph)
+        for k in ("psnr", "l1", "l2", "fid_star"):
+            assert ev[k] == ev_graph[k], k
+
     def test_unknown_split(self, tmp_path):
         cfg = config_from_dict(small_raw(tmp_path / "run", steps=2, eval_every=2))
         result = run_train(cfg)
@@ -384,12 +407,16 @@ class TestAblation:
         assert "DUALVQ_THREADS" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def run_cli(args, **kw):
+def src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([os.path.join(os.path.dirname(__file__), "..", "src"),
                                          env.get("PYTHONPATH", "")])
+    return env
+
+
+def run_cli(args, **kw):
     return subprocess.run([sys.executable, "-m", "dualvq", *args],
-                          capture_output=True, text=True, env=env, **kw)
+                          capture_output=True, text=True, env=src_env(), **kw)
 
 
 class TestCli:
@@ -482,6 +509,24 @@ class TestCli:
         assert (out / "steps.csv").exists()
         assert (out / "checkpoints" / "final" / CHECKPOINT_FILE).exists()
         assert not (tmp_path / "from_file").exists()
+
+
+def test_no_scipy_on_the_import_path():
+    """numpy is the only runtime dependency: neither the package nor the
+    CLI loads scipy in a fresh interpreter."""
+    probe = ("import runpy, sys\n"
+             "{}\n"
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    cli = ("sys.argv = ['dualvq', '--help']\n"
+           "try:\n"
+           "    runpy.run_module('dualvq', run_name='__main__', alter_sys=True)\n"
+           "except SystemExit as e:\n"
+           "    assert e.code == 0, e.code")
+    for body in ("import dualvq", cli):
+        proc = subprocess.run([sys.executable, "-c", probe.format(body)], capture_output=True, text=True,
+                              env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
 
 
 def test_every_export_resolves():
