@@ -8,7 +8,7 @@ import numpy as np
 
 from dualvq.autodiff import Tensor, backward
 from dualvq.codebook import Codebook
-from dualvq.dual_quantizer import DualQuantizerState, quantize_dual, split_channels
+from dualvq.dual_quantizer import Head, QuantizerState, quantize_dual, split_channels
 from dualvq.rng import component_rng
 from dualvq.transformer import TransformerParams, refine
 
@@ -20,11 +20,12 @@ zg, zl = split_channels(z, 4)
 print("split shapes:", zg.shape, zl.shape)
 
 tf = TransformerParams(4, 2, 2, 32, rng=component_rng(2, "tf"))
-state = DualQuantizerState(
-    global_cb=Codebook(16, 4, rng=component_rng(2, "cb_g")),
-    local_cb=Codebook(16, 4, rng=component_rng(2, "cb_l")),
-    tf_params=tf, split_global=4, split_local=4, beta=0.25,
-)
+# Two heads: a transformer-refined global codebook over the first 4
+# channels, then a plain local codebook over the other 4.
+state = QuantizerState([
+    Head("global", Codebook(16, 4, rng=component_rng(2, "cb_g")), refiner=tf),
+    Head("local", Codebook(16, 4, rng=component_rng(2, "cb_l"))),
+], beta=0.25)
 
 # Fresh transformers start as the identity (zero-initialised residual
 # output projections), so refinement is a no-op until training moves it.
@@ -32,7 +33,7 @@ refined = refine(state.global_cb.entries, tf)
 print("fresh transformer refines to identity:",
       np.array_equal(refined.data, state.global_cb.entries.data))
 
-z_q, res_g, res_l = quantize_dual(z, state)
+z_q, (res_g, res_l) = quantize_dual(z, state)
 print("quantized shape matches input:", z_q.shape == z.shape)
 print(f"global terms: codebook {res_g.codebook_term.item():.5f}, "
       f"commitment {res_g.commitment_term.item():.5f}")
@@ -45,7 +46,7 @@ print(f"local terms:  codebook {res_l.codebook_term.item():.5f}, "
 for name, t in tf.named():
     if name.endswith("wo") or name.endswith("w2"):
         t.data = rng.normal(size=t.shape) * 0.1
-z_q, res_g, res_l = quantize_dual(Tensor(z.data), state, update_usage=False)
+z_q, (res_g, res_l) = quantize_dual(Tensor(z.data), state, update_usage=False)
 backward(res_g.codebook_term + res_g.commitment_term)
 touched = int((np.abs(state.global_cb.entries.grad) > 0).any(axis=1).sum())
 used = len(np.unique(res_g.indices))

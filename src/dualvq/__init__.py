@@ -8,13 +8,7 @@ into a transformer-refined global half and a deterministic local half.
 from .autodiff import NonFiniteError, ShapeError, Tensor, backward
 from .codebook import Codebook, QuantizationResult, nearest_indices, quantize_st, usage_stats, vq_terms
 from .config import ConfigError, ExperimentConfig, load_config
-from .dual_quantizer import (
-    DualQuantizerState,
-    SingleQuantizerState,
-    quantize_dual,
-    quantize_single,
-    split_channels,
-)
+from .dual_quantizer import Head, QuantizerState, quantize_dual, split_channels
 from .metrics import compression_ratio, emit_utilization, frechet_gaussian, l1_metric, l2_metric, psnr
 from .model import (
     ModelState,
@@ -34,13 +28,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Codebook",
     "ConfigError",
-    "DualQuantizerState",
     "ExperimentConfig",
+    "Head",
     "ModelState",
     "NonFiniteError",
     "QuantizationResult",
+    "QuantizerState",
     "ShapeError",
-    "SingleQuantizerState",
     "StepReport",
     "Tensor",
     "TrainConfig",
@@ -61,7 +55,6 @@ __all__ = [
     "nearest_indices",
     "psnr",
     "quantize_dual",
-    "quantize_single",
     "quantize_st",
     "refine",
     "run_ablation",

@@ -110,12 +110,6 @@ def epoch_of_step(n_train: int, batch: int, step: int) -> int:
     return (step * batch) // n_train
 
 
-def dataset_checksum(images: np.ndarray) -> str:
-    import hashlib
-
-    return hashlib.sha256(np.ascontiguousarray(images).tobytes()).hexdigest()
-
-
 # -- binary PPM (P6) ingestion ---------------------------------------------------
 
 

@@ -1,24 +1,24 @@
-"""The dual quantization mechanism.
+"""The dual quantization mechanism, as an ordered list of heads.
 
-The latent block splits channel-wise into a global half and a local half.
-The global half quantizes against transformer-refined code vectors, the
-local half against its raw codebook, and the two quantized halves
-concatenate back in the original channel order. Each half contributes a
+A head is a codebook over the next ``codebook.dim`` latent channels, plus
+an optional refiner: a transformer that turns the raw entries into this
+step's lookup table. ``quantize_dual`` peels the channels off head by head,
+quantizes each slice against its table, and concatenates the quantized
+slices back in the original channel order. Each head contributes a
 codebook term and a commitment term; the total quantization loss is their
-sum. A single-codebook mode covers the deterministic baseline.
+sum.
 
-Both states expose ``codebooks()``, their codebooks by name (``"global"``
-and ``"local"``, or just ``"global"`` for the baseline) in the order their
-quantization results come back. Code that only walks the codebooks (usage
-reports, checkpoint counters, window resets, export) loops over it;
-``model.quantize_latents`` is the one place that picks a quantizer.
+The dual quantizer is a refined ``"global"`` head followed by a plain
+``"local"`` head. The deterministic baseline is one ``"global"`` head over
+every latent channel. ``codebooks()`` gives the codebooks by head name, in
+the order the quantization results come back, so code that only walks the
+codebooks (usage reports, checkpoint counters, window resets, export)
+loops over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .autodiff import ShapeError, Tensor, concat, narrow, reshape
 from .codebook import Codebook, QuantizationResult, quantize_st
@@ -26,47 +26,43 @@ from .transformer import TransformerParams, refine
 
 
 @dataclass
-class DualQuantizerState:
-    global_cb: Codebook
-    local_cb: Codebook
-    tf_params: TransformerParams | None   # None runs the global half deterministically
-    split_global: int
-    split_local: int
-    beta: float = 0.25
-
-    def codebooks(self) -> dict[str, Codebook]:
-        return {"global": self.global_cb, "local": self.local_cb}
-
-    def named_params(self):
-        yield "global_cb", self.global_cb.entries
-        yield "local_cb", self.local_cb.entries
-        if self.tf_params is not None:
-            for name, t in self.tf_params.named():
-                yield f"tf.{name}", t
+class Head:
+    name: str
+    codebook: Codebook
+    refiner: TransformerParams | None = None   # None quantizes against the raw entries
 
 
 @dataclass
-class SingleQuantizerState:
-    """Deterministic one-codebook baseline over the full channel width."""
-
-    cb: Codebook
+class QuantizerState:
+    heads: list[Head]
     beta: float = 0.25
 
+    # read by the benchmark's checks on dual checkpoints
+    global_cb = property(lambda self: self.heads[0].codebook)
+    local_cb = property(lambda self: self.heads[1].codebook)
+    tf_params = property(lambda self: self.heads[0].refiner)
+    split_global = property(lambda self: self.heads[0].codebook.dim)
+
     def codebooks(self) -> dict[str, Codebook]:
-        return {"global": self.cb}
+        return {head.name: head.codebook for head in self.heads}
 
     def named_params(self):
-        yield "global_cb", self.cb.entries
+        for head in self.heads:
+            yield f"{head.name}_cb", head.codebook.entries
+        for head in self.heads:
+            if head.refiner is not None:
+                for name, t in head.refiner.named():
+                    yield f"tf.{name}", t
 
 
-def split_channels(z: Tensor, split_global: int) -> tuple[Tensor, Tensor]:
-    """Split (B,C,H,W) into the leading global channels and the rest."""
+def split_channels(z: Tensor, width: int) -> tuple[Tensor, Tensor]:
+    """Split (B,C,H,W) into the leading ``width`` channels and the rest."""
     if z.ndim != 4:
         raise ShapeError(f"split_channels: need (B,C,H,W), got {z.shape}")
     c = z.shape[1]
-    if not 0 < split_global < c:
-        raise ShapeError(f"split_channels: split {split_global} out of range for C={c}")
-    return narrow(z, 1, 0, split_global), narrow(z, 1, split_global, c - split_global)
+    if not 0 < width < c:
+        raise ShapeError(f"split_channels: split {width} out of range for C={c}")
+    return narrow(z, 1, 0, width), narrow(z, 1, width, c - width)
 
 
 def channels_to_rows(z: Tensor) -> Tensor:
@@ -80,35 +76,26 @@ def rows_to_channels(rows: Tensor, b: int, h: int, w: int) -> Tensor:
     return reshape(rows, (b, h, w, c)).swapaxes(2, 3).swapaxes(1, 2)
 
 
-def quantize_dual(z: Tensor, state: DualQuantizerState,
-                  update_usage: bool = True) -> tuple[Tensor, QuantizationResult, QuantizationResult]:
-    """Quantize both halves and concatenate them back channel-wise."""
+def quantize_dual(z: Tensor, state: QuantizerState,
+                  update_usage: bool = True) -> tuple[Tensor, list[QuantizationResult]]:
+    """Quantize each head's channels and concatenate them back channel-wise;
+    returns (z_q, results) with the results in head order."""
     b, c, h, w = z.shape
-    if state.split_global + state.split_local != c:
-        raise ShapeError(
-            f"quantize_dual: split {state.split_global}+{state.split_local} != C={c}"
-        )
-    zg, zl = split_channels(z, state.split_global)
-    fg = channels_to_rows(zg)
-    fl = channels_to_rows(zl)
-    # the refined table is this step's lookup; the raw entries stay the parameters
-    table = None if state.tf_params is None else refine(state.global_cb.entries, state.tf_params)
-    res_g = quantize_st(fg, state.global_cb, beta=state.beta, entries=table,
-                        update_usage=update_usage)
-    res_l = quantize_st(fl, state.local_cb, beta=state.beta, update_usage=update_usage)
-    zq_g = rows_to_channels(res_g.z_q, b, h, w)
-    zq_l = rows_to_channels(res_l.z_q, b, h, w)
-    z_q = concat([zq_g, zq_l], axis=1)
-    return z_q, res_g, res_l
-
-
-def quantize_single(z: Tensor, state: SingleQuantizerState,
-                    update_usage: bool = True) -> tuple[Tensor, QuantizationResult]:
-    """Whole-width deterministic quantization (the collapse-prone baseline)."""
-    b, c, h, w = z.shape
-    rows = channels_to_rows(z)
-    res = quantize_st(rows, state.cb, beta=state.beta, update_usage=update_usage)
-    return rows_to_channels(res.z_q, b, h, w), res
+    widths = [head.codebook.dim for head in state.heads]
+    if sum(widths) != c:
+        raise ShapeError(f"quantize_dual: head widths {'+'.join(map(str, widths))} != C={c}")
+    parts, results = [], []
+    for head in state.heads:
+        part = z
+        if head is not state.heads[-1]:
+            part, z = split_channels(z, head.codebook.dim)
+        # the refined table is this step's lookup; the raw entries stay the parameters
+        table = None if head.refiner is None else refine(head.codebook.entries, head.refiner)
+        res = quantize_st(channels_to_rows(part), head.codebook, beta=state.beta, entries=table,
+                          update_usage=update_usage)
+        results.append(res)
+        parts.append(rows_to_channels(res.z_q, b, h, w))
+    return (parts[0] if len(parts) == 1 else concat(parts, axis=1)), results
 
 
 def quant_loss_total(results) -> Tensor:

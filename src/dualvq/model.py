@@ -38,13 +38,7 @@ from .autodiff import (
     relu,
 )
 from .codebook import Codebook, usage_stats
-from .dual_quantizer import (
-    DualQuantizerState,
-    SingleQuantizerState,
-    quant_loss_total,
-    quantize_dual,
-    quantize_single,
-)
+from .dual_quantizer import Head, QuantizerState, quant_loss_total, quantize_dual
 from .rng import component_rng
 from .transformer import TransformerParams
 
@@ -198,7 +192,7 @@ class ModelState:
         self.step = 0
         self.gen_params: dict[str, Tensor] = {}
         self.disc_params: dict[str, Tensor] = {}
-        self.quantizer: DualQuantizerState | SingleQuantizerState | None = None
+        self.quantizer: QuantizerState | None = None
         self.adam_m: dict[str, np.ndarray] = {}
         self.adam_v: dict[str, np.ndarray] = {}
         self.adam_t_gen = 0
@@ -243,15 +237,13 @@ def init_model(config: TrainConfig) -> ModelState:
             tf_params = TransformerParams(config.split_global, config.tf_layers, config.tf_heads,
                                           TF_FF_DIM, rng=component_rng(seed, "tf"),
                                           zero_residual=config.tf_zero_residual)
-        state.quantizer = DualQuantizerState(
-            global_cb=Codebook(kg, config.split_global, rng=component_rng(seed, "cb_global")),
-            local_cb=Codebook(kl, config.split_local, rng=component_rng(seed, "cb_local")),
-            tf_params=tf_params, split_global=config.split_global,
-            split_local=config.split_local)
+        heads = [Head("global", Codebook(kg, config.split_global, rng=component_rng(seed, "cb_global")),
+                      tf_params),
+                 Head("local", Codebook(kl, config.split_local, rng=component_rng(seed, "cb_local")))]
     else:
-        cb = Codebook(config.codebook_total, config.latent_channels,
-                      rng=component_rng(seed, "cb_global"))
-        state.quantizer = SingleQuantizerState(cb=cb)
+        heads = [Head("global", Codebook(config.codebook_total, config.latent_channels,
+                                         rng=component_rng(seed, "cb_global")))]
+    state.quantizer = QuantizerState(heads)
     state.gen_params.update(state.quantizer.named_params())
     state.init_adam()
     return state
@@ -289,16 +281,6 @@ def discriminate(state: ModelState, x: Tensor) -> Tensor:
     if x.ndim != 4 or x.shape[1] != 3:
         raise ShapeError(f"discriminate: need (B,3,H,W), got {x.shape}")
     return _walk(state.disc_params, state.layers["disc"], x)
-
-
-def quantize_latents(state: ModelState, z: Tensor, update_usage: bool = True):
-    """The one place that picks a quantizer; returns (z_q, [results]) with the
-    results in ``state.quantizer.codebooks()`` order."""
-    if isinstance(state.quantizer, DualQuantizerState):
-        z_q, res_g, res_l = quantize_dual(z, state.quantizer, update_usage=update_usage)
-        return z_q, [res_g, res_l]
-    z_q, res = quantize_single(z, state.quantizer, update_usage=update_usage)
-    return z_q, [res]
 
 
 # -- objectives ---------------------------------------------------------------
@@ -379,7 +361,7 @@ def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
     cfg = state.config
     x = Tensor(batch)
     z = encode(state, x)
-    z_q, results = quantize_latents(state, z, update_usage=True)
+    z_q, results = quantize_dual(z, state.quantizer, update_usage=True)
     x_hat = decode(state, z_q)
     quant = quant_loss_total(results)
 
@@ -432,7 +414,7 @@ def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
 
 def quantize_images(state: ModelState, batch: np.ndarray) -> tuple[Tensor, list]:
     """Encode and quantize without usage updates; returns (z_q, results)."""
-    return quantize_latents(state, encode(state, Tensor(batch)), update_usage=False)
+    return quantize_dual(encode(state, Tensor(batch)), state.quantizer, update_usage=False)
 
 
 def reconstruct(state: ModelState, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:

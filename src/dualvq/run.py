@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,6 +239,8 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> str:
 
     width = grid_width(len(payloads))
     if width > 1:
+        from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing; only here
+
         with ProcessPoolExecutor(max_workers=width) as pool:
             results = list(pool.map(_grid_worker, payloads))
     else:

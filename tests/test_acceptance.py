@@ -253,7 +253,7 @@ def test_criterion_2_quantizer_oracle():
         kg, kl = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         st = dual_state(rng.normal(size=(kg, sg)), rng.normal(size=(kl, sl)), beta=0.25)
         z = rng.normal(size=(b, sg + sl, h, ww))
-        _, res_g, res_l = quantize_dual(Tensor(z), st)
+        _, (res_g, res_l) = quantize_dual(Tensor(z), st)
         oracle = enumeration_oracle(z, st.global_cb.entries.data, st.local_cb.entries.data, sg, 0.25)
         for res, tag in ((res_g, "g"), (res_l, "l")):
             idx, _, cb_term, commit = oracle[tag]
@@ -292,7 +292,7 @@ def test_criterion_3_straight_through_exact():
     tf = TransformerParams(2, 1, 1, 4, rng=np.random.default_rng(301))
     st = dual_state(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), tf_params=tf)
     z = Tensor(rng.normal(size=(2, 4, 2, 2)), requires_grad=True)
-    z_q, _, _ = quantize_dual(z, st)
+    z_q, _ = quantize_dual(z, st)
     downstream = rng.normal(size=z.shape)
     backward(mul(z_q, Tensor(downstream)).sum())
     assert np.array_equal(z.grad, downstream)
@@ -334,8 +334,8 @@ def test_criterion_5_degeneracy(tmp_path):
     z = rng.normal(size=(2, 4, 3, 3))
     st_zero = dual_state(entries_g.copy(), entries_l.copy(), tf_params=tf)
     st_simple = dual_state(entries_g.copy(), entries_l.copy())
-    zq_a, ga, la = quantize_dual(Tensor(z), st_zero)
-    zq_b, gb, lb = quantize_dual(Tensor(z), st_simple)
+    zq_a, (ga, la) = quantize_dual(Tensor(z), st_zero)
+    zq_b, (gb, lb) = quantize_dual(Tensor(z), st_simple)
     assert np.array_equal(ga.indices, gb.indices) and np.array_equal(la.indices, lb.indices)
     assert ga.codebook_term.item() == gb.codebook_term.item()
     assert la.commitment_term.item() == lb.commitment_term.item()

@@ -4,12 +4,11 @@ import pytest
 from dualvq.autodiff import ShapeError, Tensor, backward
 from dualvq.codebook import Codebook, nearest_indices
 from dualvq.dual_quantizer import (
-    DualQuantizerState,
-    SingleQuantizerState,
+    Head,
+    QuantizerState,
     channels_to_rows,
     quant_loss_total,
     quantize_dual,
-    quantize_single,
     split_channels,
 )
 from dualvq.rng import component_rng
@@ -21,12 +20,9 @@ from dualvq.autodiff import concat
 def dual_state(entries_g, entries_l, tf_params=None, beta=0.25):
     entries_g = np.asarray(entries_g, dtype=np.float64)
     entries_l = np.asarray(entries_l, dtype=np.float64)
-    return DualQuantizerState(
-        global_cb=Codebook(entries_g.shape[0], entries_g.shape[1], entries=entries_g),
-        local_cb=Codebook(entries_l.shape[0], entries_l.shape[1], entries=entries_l),
-        tf_params=tf_params,
-        split_global=entries_g.shape[1],
-        split_local=entries_l.shape[1],
+    return QuantizerState(
+        [Head("global", Codebook(*entries_g.shape, entries=entries_g), tf_params),
+         Head("local", Codebook(*entries_l.shape, entries=entries_l))],
         beta=beta,
     )
 
@@ -179,7 +175,7 @@ class TestQuantizeDual:
         z[0, 2:, 0, 0] = entries_l[1]
         z[0, :2, 0, 1] = entries_g[1]
         z[0, 2:, 0, 1] = entries_l[0]
-        z_q, res_g, res_l = quantize_dual(Tensor(z), st)
+        z_q, (res_g, res_l) = quantize_dual(Tensor(z), st)
         assert np.array_equal(z_q.data, z)
         for term in (res_g.codebook_term, res_g.commitment_term,
                      res_l.codebook_term, res_l.commitment_term):
@@ -191,7 +187,7 @@ class TestQuantizeDual:
         tf = TransformerParams(2, 1, 1, 4, rng=component_rng(6, "tf"), zero_residual=True)
         st = dual_state(entries_g, entries_l, tf_params=tf, beta=0.25)
         z = np.array([0.4, 0.6, 0.2, 0.9]).reshape(1, 4, 1, 1)
-        z_q, res_g, res_l = quantize_dual(Tensor(z), st)
+        z_q, (res_g, res_l) = quantize_dual(Tensor(z), st)
         oracle = enumeration_oracle(z, entries_g, entries_l, 2, 0.25)
         for res, tag in ((res_g, "g"), (res_l, "l")):
             idx, sel, cb_term, commit = oracle[tag]
@@ -211,7 +207,7 @@ class TestQuantizeDual:
             entries_l = rng.normal(size=(kl, sl))
             st = dual_state(entries_g, entries_l, beta=0.25)
             z = rng.normal(size=(b, sg + sl, h, w))
-            z_q, res_g, res_l = quantize_dual(Tensor(z), st)
+            z_q, (res_g, res_l) = quantize_dual(Tensor(z), st)
             oracle = enumeration_oracle(z, entries_g, entries_l, sg, 0.25)
             for res, tag in ((res_g, "g"), (res_l, "l")):
                 idx, _, cb_term, commit = oracle[tag]
@@ -226,12 +222,12 @@ class TestQuantizeDual:
         entries_l = rng.normal(size=(3, 2))
         z = rng.normal(size=(1, 4, 2, 2))
         st = dual_state(entries_g, entries_l)
-        _, res_g, res_l = quantize_dual(Tensor(z), st)
+        _, (res_g, res_l) = quantize_dual(Tensor(z), st)
         st2 = dual_state(entries_g, entries_l + 10.0)
-        _, res_g2, _ = quantize_dual(Tensor(z), st2)
+        _, (res_g2, _) = quantize_dual(Tensor(z), st2)
         assert np.array_equal(res_g.indices, res_g2.indices)
         st3 = dual_state(entries_g - 3.0, entries_l)
-        _, _, res_l3 = quantize_dual(Tensor(z), st3)
+        _, (_, res_l3) = quantize_dual(Tensor(z), st3)
         assert np.array_equal(res_l.indices, res_l3.indices)
 
     def test_local_path_ignores_transformer(self):
@@ -243,10 +239,10 @@ class TestQuantizeDual:
         z = rng.normal(size=(1, 4, 2, 2))
         tf = TransformerParams(2, 1, 2, 4, rng=component_rng(7, "tf"))
         st = dual_state(entries_g, entries_l, tf_params=tf)
-        _, _, res_l = quantize_dual(Tensor(z), st)
+        _, (_, res_l) = quantize_dual(Tensor(z), st)
         for t in tf.tensors.values():
             t.data = t.data + rng.normal(size=t.shape)
-        _, _, res_l2 = quantize_dual(Tensor(z), st)
+        _, (_, res_l2) = quantize_dual(Tensor(z), st)
         assert np.array_equal(res_l.indices, res_l2.indices)
         assert np.array_equal(res_l.z_q.data, res_l2.z_q.data)
 
@@ -258,8 +254,8 @@ class TestQuantizeDual:
         tf = TransformerParams(2, 2, 2, 8, rng=component_rng(8, "tf"), zero_residual=True)
         st_tf = dual_state(entries_g.copy(), entries_l.copy(), tf_params=tf)
         st_simple = dual_state(entries_g.copy(), entries_l.copy(), tf_params=None)
-        zq1, g1, l1 = quantize_dual(Tensor(z), st_tf)
-        zq2, g2, l2 = quantize_dual(Tensor(z), st_simple)
+        zq1, (g1, l1) = quantize_dual(Tensor(z), st_tf)
+        zq2, (g2, l2) = quantize_dual(Tensor(z), st_simple)
         assert np.array_equal(zq1.data, zq2.data)
         assert np.array_equal(g1.indices, g2.indices)
         assert g1.codebook_term.item() == g2.codebook_term.item()
@@ -270,7 +266,7 @@ class TestQuantizeDual:
         tf = TransformerParams(2, 1, 2, 4, rng=component_rng(9, "tf"))
         st = dual_state(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), tf_params=tf)
         z = Tensor(rng.normal(size=(1, 4, 2, 2)), requires_grad=True)
-        _, res_g, res_l = quantize_dual(z, st)
+        _, (res_g, res_l) = quantize_dual(z, st)
         assert res_g.codebook_term.item() > 0
         backward(quant_loss_total([res_g, res_l]))
         got_any = any(t.grad is not None and np.any(t.grad) for _, t in tf.named())
@@ -286,9 +282,9 @@ class TestSingle:
     def test_matches_manual_scan(self):
         rng = np.random.default_rng(61)
         entries = rng.normal(size=(6, 4))
-        st = SingleQuantizerState(cb=Codebook(6, 4, entries=entries), beta=0.25)
+        st = QuantizerState([Head("global", Codebook(6, 4, entries=entries))], beta=0.25)
         z = rng.normal(size=(2, 4, 2, 2))
-        z_q, res = quantize_single(Tensor(z), st)
+        z_q, (res,) = quantize_dual(Tensor(z), st)
         rows = z.transpose(0, 2, 3, 1).reshape(-1, 4)
         assert np.array_equal(res.indices, nearest_indices(rows, entries))
         assert z_q.shape == z.shape
@@ -308,3 +304,7 @@ class TestMakeState:
         assert np.array_equal(a.global_cb.entries.data, b.global_cb.entries.data)
         assert np.array_equal(a.local_cb.entries.data, b.local_cb.entries.data)
         assert a.tf_params is not None and b.tf_params is None
+        (single,) = init_model(TrainConfig(seed=7, quantizer_mode="single")).quantizer.heads
+        assert single.refiner is None
+        assert np.array_equal(single.codebook.entries.data,
+                              Codebook(64, 8, rng=component_rng(7, "cb_global")).entries.data)

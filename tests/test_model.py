@@ -12,6 +12,7 @@ from dualvq.autodiff import NonFiniteError, ShapeError, Tensor, backward, l1_los
 from dualvq.checkpoint import CHECKPOINT_FILE, load_checkpoint, save_checkpoint
 from dualvq.tensor_io import array_to_bytes, bytes_to_array
 from dualvq.data import batch_indices, synth_dataset
+from dualvq.dual_quantizer import quantize_dual
 from dualvq.model import (
     ADAM_EPS,
     LAMBDA_DELTA,
@@ -26,7 +27,6 @@ from dualvq.model import (
     generator_losses,
     init_model,
     quant_loss_total,
-    quantize_latents,
     training_step,
 )
 
@@ -117,7 +117,7 @@ class TestShapes:
     def test_end_to_end_batch_preserved(self):
         state = init_model(desk_config())
         x = Tensor(tiny_batch(n=3))
-        z_q, _ = quantize_latents(state, encode(state, x), update_usage=False)
+        z_q, _ = quantize_dual(encode(state, x), state.quantizer, update_usage=False)
         x_hat = decode(state, z_q)
         assert x_hat.shape == (3, 3, 32, 32)
         assert np.all((x_hat.data > 0) & (x_hat.data < 1))
@@ -244,7 +244,7 @@ class TestTrainingStep:
         # the probes restrict backward to dec.out.w; a full pass gives the same bits
         state = init_model(desk_config(seed=9, disc_start_step=0))
         x = Tensor(tiny_batch(seed=9))
-        z_q, _ = quantize_latents(state, encode(state, x))
+        z_q, _ = quantize_dual(encode(state, x), state.quantizer)
         x_hat = decode(state, z_q)
         d_fake = discriminate(state, x_hat)
         last_w = state.gen_params["dec.out.w"]
@@ -262,7 +262,7 @@ class TestTrainingStep:
         # gives the bits of a full pass over a separate stop_gradient(x_hat) pass
         state = init_model(desk_config(seed=10, disc_start_step=0))
         x = Tensor(tiny_batch(seed=10))
-        z_q, _ = quantize_latents(state, encode(state, x))
+        z_q, _ = quantize_dual(encode(state, x), state.quantizer)
         x_hat = decode(state, z_q)
         d_fake = discriminate(state, x_hat)
         state.zero_grads()
@@ -281,7 +281,7 @@ class TestTrainingStep:
         # a full pass, which also filled the discriminator kernels
         state = init_model(desk_config(seed=11, disc_start_step=0))
         x = Tensor(tiny_batch(seed=11))
-        z_q, results = quantize_latents(state, encode(state, x))
+        z_q, results = quantize_dual(encode(state, x), state.quantizer)
         x_hat = decode(state, z_q)
         total = generator_losses(x, x_hat, discriminate(state, x_hat), 0.5,
                                  quant_loss_total(results)).total

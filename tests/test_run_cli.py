@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -513,10 +512,12 @@ class TestCli:
 
 def test_no_scipy_on_the_import_path():
     """numpy is the only runtime dependency: neither the package nor the
-    CLI loads scipy in a fresh interpreter."""
+    CLI loads scipy in a fresh interpreter, nor the process pool that only
+    a parallel ablation uses."""
     probe = ("import runpy, sys\n"
              "{}\n"
-             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
+             "             or m == 'concurrent.futures.process'))\n")
     cli = ("sys.argv = ['dualvq', '--help']\n"
            "try:\n"
            "    runpy.run_module('dualvq', run_name='__main__', alter_sys=True)\n"
@@ -533,14 +534,3 @@ def test_every_export_resolves():
     namespace = {}
     exec("from dualvq import *", namespace)  # a stale name in __all__ raises here
     assert set(dualvq.__all__) <= namespace.keys()
-
-
-def test_every_traced_target_resolves(monkeypatch):
-    """The benchmark's traced run replaces each ``owner.__dict__[attr]`` that
-    bench/layers.py lists, so each must exist where it is listed."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    from layers import STEP, TARGETS
-    from measure import _resolve
-
-    for owner_path, attr, *_ in (STEP, *TARGETS):
-        assert callable(_resolve(owner_path).__dict__.get(attr)), f"{owner_path}.{attr}"
