@@ -99,34 +99,29 @@ def load_checkpoint(dirpath: str, config: TrainConfig | None = None) -> tuple[Mo
     counters = [manifest[k] for k in ("step", "adam_t_gen", "adam_t_disc")]
     if any(type(v) is not int or v < 0 for v in counters):
         raise ValueError(f"{path}: manifest step/adam_t_gen/adam_t_disc {counters} are not all counts")
-    state = init_model(config)
-    state.step, state.adam_t_gen, state.adam_t_disc = counters
-
-    params = dict(state.all_params())
-    shapes = {prefix + k: p.data.shape
-              for prefix in ("", "adam_m.", "adam_v.") for k, p in params.items()}
     if not (isinstance(manifest["tensors"], list) and all(type(k) is str for k in manifest["tensors"])):
         raise ValueError(f"{path}: manifest tensors {manifest['tensors']!r} is not a list of keys")
-    keys = set(manifest["tensors"])
-    if keys != shapes.keys():
-        raise ValueError(f"{path}: tensors do not match the config's model: unknown "
-                         f"{sorted(keys - shapes.keys())[:5]}, missing {sorted(shapes.keys() - keys)[:5]}")
-    pos = newline + 1
+    arrays, pos = {}, newline + 1
     for key in manifest["tensors"]:
         try:
-            arr, pos = tensor_io.bytes_to_array(blob, pos)
+            arrays[key], pos = tensor_io.bytes_to_array(blob, pos)
         except ValueError as e:
             raise ValueError(f"{path}: tensor {key!r}: {e}") from None
-        if arr.shape != shapes[key]:
-            raise ValueError(f"{path}: tensor {key!r} has shape {arr.shape}, expected {shapes[key]}")
-        if key.startswith("adam_m."):
-            state.adam_m[key[len("adam_m."):]] = arr
-        elif key.startswith("adam_v."):
-            state.adam_v[key[len("adam_v."):]] = arr
-        else:
-            params[key].data = arr
     if pos != len(blob):
         raise ValueError(f"{path}: {len(blob) - pos} bytes after the last tensor dump")
+
+    # init_model makes fresh what the arrays lack or hold in another shape; the checks refuse it
+    state = init_model(config, tensors=arrays)
+    state.step, state.adam_t_gen, state.adam_t_disc = counters
+    shapes = {prefix + k: p.data.shape
+              for prefix in ("", "adam_m.", "adam_v.") for k, p in state.all_params()}
+    if arrays.keys() != shapes.keys():
+        raise ValueError(f"{path}: tensors do not match the config's model: unknown "
+                         f"{sorted(arrays.keys() - shapes.keys())[:5]}, "
+                         f"missing {sorted(shapes.keys() - arrays.keys())[:5]}")
+    for key, arr in arrays.items():
+        if arr.shape != shapes[key]:
+            raise ValueError(f"{path}: tensor {key!r} has shape {arr.shape}, expected {shapes[key]}")
 
     counts = manifest["counts"] if isinstance(manifest["counts"], dict) else {}
     for name, cb in state.quantizer.codebooks().items():

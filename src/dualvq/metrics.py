@@ -1,16 +1,18 @@
 """Reconstruction metrics, the codebook-utilization report (every figure
 derived from each codebook's cumulative counts), and a closed-form
-Gaussian Fréchet distance.
+Gaussian Fréchet distance on fixed image features.
 
-The Fréchet distance here acts on the model's quantized latents; it is
-NOT Inception-FID and its values are not comparable to Inception-based
-numbers. Evaluation computes it on the joint span of the two feature sets
-(``joint_basis``), an orthonormal basis Q of both sets' centred rows and
-their mean difference. The mean difference and the range of each
-covariance lie in span(Q), so projecting the features onto Q leaves the
-means' distance, both traces and tr((C1 C2)^1/2) unchanged in exact
-arithmetic, while the eigenproblems shrink from d x d to at most
-(2n + 1) x (2n + 1) for n images a set.
+``image_features`` is one fixed random feature map: each non-overlapping
+4x4 patch is projected by a Gaussian matrix drawn from a constant seed,
+then passed through ReLU. It has no trained weights, so every model is
+measured in the same space, but it is NOT Inception-FID and its values are
+not comparable to Inception-based numbers. Evaluation computes the
+distance on the joint span of the two feature sets (``joint_basis``), an
+orthonormal basis Q of both sets' centred rows and their mean difference.
+The mean difference and the range of each covariance lie in span(Q), so
+projecting the features onto Q leaves the means' distance, both traces
+and tr((C1 C2)^1/2) unchanged in exact arithmetic, while the eigenproblems
+shrink from F x F to at most (2n + 1) x (2n + 1) for n images a set.
 
 Images are assumed to live in [0, 1]; PSNR uses peak 1.0 and
 returns +inf for identical inputs (serialized as the string "inf").
@@ -62,7 +64,27 @@ def compression_ratio(input_shape, latent_hw) -> float:
     return n_in / (h * w)
 
 
-# -- Gaussian Fréchet distance ---------------------------------------------------
+# -- fixed image features and the Gaussian Fréchet distance -----------------------
+
+FEATURE_PATCH = 4        # pixels per side of a feature patch
+FEATURE_WIDTH = 16       # features per patch
+FEATURE_SEED = 2002      # of the projection; no run seed reaches it
+
+
+def image_features(images) -> np.ndarray:
+    """(n, F) features of (n, C, H, W) images: every non-overlapping
+    FEATURE_PATCH-square patch, flattened channel-major, times one fixed
+    Gaussian (C·16, FEATURE_WIDTH) matrix of variance 1 / (C·16), through
+    ReLU. Rows and columns past the last whole patch are dropped; F is
+    FEATURE_WIDTH per patch (1024 at 32x32), 0 for an image smaller than one."""
+    x = np.asarray(images, dtype=np.float64)
+    n, c, h, w = x.shape
+    p = FEATURE_PATCH
+    gh, gw = h // p, w // p
+    patches = x[:, :, :gh * p, :gw * p].reshape(n, c, gh, p, gw, p).transpose(0, 2, 4, 1, 3, 5)
+    fan_in = c * p * p
+    proj = np.random.default_rng(FEATURE_SEED).normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, FEATURE_WIDTH))
+    return np.maximum(patches.reshape(n, gh * gw, fan_in) @ proj, 0.0).reshape(n, -1)
 
 
 def _sym_floor(cov):

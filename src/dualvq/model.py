@@ -40,6 +40,7 @@ from .autodiff import (
 from .codebook import Codebook, usage_stats
 from .dual_quantizer import Head, QuantizerState, quant_loss_total, quantize_dual
 from .rng import component_rng
+from .tensor_io import stored
 from .transformer import TransformerParams
 
 ADAM_BETAS = (0.5, 0.9)
@@ -206,18 +207,15 @@ class ModelState:
         for _, p in self.all_params():
             p.grad = None
 
-    def init_adam(self):
-        for name, p in self.all_params():
-            self.adam_m[name] = np.zeros_like(p.data)
-            self.adam_v[name] = np.zeros_like(p.data)
 
-
-def init_model(config: TrainConfig) -> ModelState:
-    """Build a fresh model from a checked ``TrainConfig``; every network and
+def init_model(config: TrainConfig, tensors: dict | None = None) -> ModelState:
+    """Build a model from a checked ``TrainConfig``. Fresh, every network and
     quantizer component draws from its own seeded stream (``cb_global``,
     ``cb_local``, ``tf``), so switching the transformer off leaves the
-    codebooks' draws unchanged. A conv layer gets a He-normal kernel, with
-    fan-in from its input channels, and a zero bias."""
+    codebooks' draws unchanged; a conv layer gets a He-normal kernel, with
+    fan-in from its input channels, and a zero bias; Adam moments are zero.
+    Each parameter or moment (``adam_m.<key>``/``adam_v.<key>``) that
+    ``tensors`` holds with its shape takes that array instead of a new one."""
     state = ModelState(config)
     seed = config.seed
     for net, layers in state.layers.items():
@@ -226,26 +224,35 @@ def init_model(config: TrainConfig) -> ModelState:
         for layer in layers:
             k = 4 if layer.stride == 2 else 3
             io = (layer.c_in, layer.c_out) if layer.transposed else (layer.c_out, layer.c_in)
-            w = rng.normal(0.0, np.sqrt(2.0 / (layer.c_in * k * k)), size=(*io, k, k))
-            for name, arr in ((f"{layer.name}.w", w), (f"{layer.name}.b", np.zeros((1, layer.c_out, 1, 1)))):
-                group[name] = Tensor(arr, requires_grad=True, op=name)
+            std = np.sqrt(2.0 / (layer.c_in * k * k))
+            for name, shape, make in (
+                    (f"{layer.name}.w", (*io, k, k), lambda s: rng.normal(0.0, std, size=s)),
+                    (f"{layer.name}.b", (1, layer.c_out, 1, 1), np.zeros)):
+                arr = stored(tensors, name, shape)
+                group[name] = Tensor(make(shape) if arr is None else arr, requires_grad=True, op=name)
+
+    def codebook(name, k, dim):
+        return Codebook(k, dim, rng=component_rng(seed, f"cb_{name}"),
+                        entries=stored(tensors, f"{name}_cb", (k, dim)))
 
     if config.quantizer_mode == "dual":
         kg, kl = config.resolved_codebooks()
         tf_params = None
         if config.transformer_on:
+            tf_tensors = {key[3:]: v for key, v in (tensors or {}).items() if key.startswith("tf.")}
             tf_params = TransformerParams(config.split_global, config.tf_layers, config.tf_heads,
                                           TF_FF_DIM, rng=component_rng(seed, "tf"),
-                                          zero_residual=config.tf_zero_residual)
-        heads = [Head("global", Codebook(kg, config.split_global, rng=component_rng(seed, "cb_global")),
-                      tf_params),
-                 Head("local", Codebook(kl, config.split_local, rng=component_rng(seed, "cb_local")))]
+                                          zero_residual=config.tf_zero_residual, tensors=tf_tensors)
+        heads = [Head("global", codebook("global", kg, config.split_global), tf_params),
+                 Head("local", codebook("local", kl, config.split_local))]
     else:
-        heads = [Head("global", Codebook(config.codebook_total, config.latent_channels,
-                                         rng=component_rng(seed, "cb_global")))]
+        heads = [Head("global", codebook("global", config.codebook_total, config.latent_channels))]
     state.quantizer = QuantizerState(heads)
     state.gen_params.update(state.quantizer.named_params())
-    state.init_adam()
+    for name, p in state.all_params():
+        for moments, prefix in ((state.adam_m, "adam_m."), (state.adam_v, "adam_v.")):
+            m = stored(tensors, prefix + name, p.shape)
+            moments[name] = np.zeros_like(p.data) if m is None else m
     return state
 
 
@@ -412,12 +419,7 @@ def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
                       perplexity_l=perp_l, active_g=act_g, active_l=act_l)
 
 
-def quantize_images(state: ModelState, batch: np.ndarray) -> tuple[Tensor, list]:
-    """Encode and quantize without usage updates; returns (z_q, results)."""
-    return quantize_dual(encode(state, Tensor(batch)), state.quantizer, update_usage=False)
-
-
 def reconstruct(state: ModelState, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Forward pass without usage updates; returns (x_hat, z_q, results)."""
-    z_q, results = quantize_images(state, batch)
+    z_q, results = quantize_dual(encode(state, Tensor(batch)), state.quantizer, update_usage=False)
     return decode(state, z_q).data, z_q.data, results

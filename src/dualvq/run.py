@@ -21,9 +21,9 @@ from .checkpoint import (CHECKPOINT_FILE, CsvLog, format_cell, load_checkpoint, 
 from .codebook import dump_codebook, usage_stats
 from .config import ConfigError, ExperimentConfig, config_from_dict, experiment_hash, grid_run, write_echo
 from .data import SPLITS, batch_indices, build_dataset, epoch_of_step
-from .metrics import (emit_utilization, frechet_gaussian, gaussian_stats, joint_basis, l1_metric,
-                      l2_metric, psnr, sanitize_for_json)
-from .model import ModelState, StepReport, init_model, quantize_images, reconstruct, training_step
+from .metrics import (emit_utilization, frechet_gaussian, gaussian_stats, image_features, joint_basis,
+                      l1_metric, l2_metric, psnr, sanitize_for_json)
+from .model import ModelState, StepReport, init_model, reconstruct, training_step
 
 EVAL_COLUMNS = ("step", "psnr", "l1", "l2", "fid_star")
 ABLATION_COLUMNS = ("label", "global", "local", "codebook_total", "fid_star", "psnr", "l1", "l2")
@@ -47,34 +47,31 @@ def _chunks(n, size):
         yield lo, min(lo + size, n)
 
 
-def _reconstruct_all(state: ModelState, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reconstructions, and the quantized latents flattened to one row per image."""
+def _reconstruct_all(state: ModelState, images: np.ndarray) -> np.ndarray:
     out = np.empty_like(images)
-    rows = []
     for lo, hi in _chunks(images.shape[0], _EVAL_CHUNK):
-        x_hat, z_q, _ = reconstruct(state, images[lo:hi])
-        out[lo:hi] = x_hat
-        rows.append(z_q.reshape(z_q.shape[0], -1))
-    return out, np.concatenate(rows, axis=0)
+        out[lo:hi] = reconstruct(state, images[lo:hi])[0]
+    return out
 
 
 def evaluate_state(state: ModelState, images: np.ndarray) -> dict:
-    """Reconstruction metrics plus the Gaussian Fréchet stand-in.
+    """Reconstruction metrics plus the Gaussian Fréchet stand-in, from one
+    encode-quantize-decode pass per chunk of images.
 
     fid_star is a closed-form Fréchet distance between Gaussians fit to the
-    quantized latents of the images and of their reconstructions, taken on
-    the span of both (``joint_basis``); it is not Inception-FID.
+    fixed ``image_features`` of the images and of their reconstructions,
+    taken on the span of both (``joint_basis``). It depends on nothing but
+    those two image sets, so it ranks models of any seed or quantizer on
+    one scale; it is not Inception-FID.
     """
     with no_grad():   # forward only: no backward graph holds a chunk's intermediates
-        recon, latents = _reconstruct_all(state, images)
-        # the reconstructions' latents need no decoder pass
-        recon_latents = np.concatenate([quantize_images(state, recon[lo:hi])[0].data.reshape(hi - lo, -1)
-                                        for lo, hi in _chunks(recon.shape[0], _EVAL_CHUNK)])
+        recon = _reconstruct_all(state, images)
     psnrs = [psnr(images[i], recon[i]) for i in range(images.shape[0])]
     l1s = [l1_metric(images[i], recon[i]) for i in range(images.shape[0])]
     l2s = [l2_metric(images[i], recon[i]) for i in range(images.shape[0])]
-    q = joint_basis(latents, recon_latents)
-    fid = frechet_gaussian(*gaussian_stats(latents @ q), *gaussian_stats(recon_latents @ q))
+    f1, f2 = image_features(images), image_features(recon)
+    q = joint_basis(f1, f2)
+    fid = frechet_gaussian(*gaussian_stats(f1 @ q), *gaussian_stats(f2 @ q))
     return {
         "step": state.step,
         "n_images": int(images.shape[0]),
@@ -82,7 +79,7 @@ def evaluate_state(state: ModelState, images: np.ndarray) -> dict:
         "l1": float(np.mean(l1s)),
         "l2": float(np.mean(l2s)),
         "fid_star": fid,
-        "fid_note": "Gaussian Frechet distance on model features; not Inception-FID",
+        "fid_note": "Gaussian Frechet distance on fixed random patch features; not Inception-FID",
     }
 
 

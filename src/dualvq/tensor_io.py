@@ -47,6 +47,12 @@ def bytes_to_array(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return arr.reshape(shape), pos + 8 * count
 
 
+def stored(tensors: dict | None, key: str, shape: tuple) -> np.ndarray | None:
+    """``tensors[key]`` if ``tensors`` holds an array of ``shape`` there, else None."""
+    arr = None if tensors is None else tensors.get(key)
+    return arr if arr is not None and arr.shape == shape else None
+
+
 def atomic_write_bytes(path: str, payload: bytes):
     tmp = f"{path}.tmp.{os.getpid()}"
     try:

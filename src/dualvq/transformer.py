@@ -21,41 +21,36 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, add, attention, gelu, layernorm, matmul
+from .tensor_io import stored
 
 
 class TransformerParams:
     """Ordered parameter set for a ``layers``-deep stack over ``dim``-wide
-    tokens with ``heads`` attention heads and ``ff_dim`` feed-forward units."""
+    tokens with ``heads`` attention heads and ``ff_dim`` feed-forward units.
+    A parameter that ``tensors`` (keyed ``layer{i}.<name>``) holds with its
+    shape takes that array; every other one is made fresh."""
 
     def __init__(self, dim: int, layers: int, heads: int, ff_dim: int,
-                 rng: np.random.Generator, zero_residual: bool = False):
+                 rng: np.random.Generator, zero_residual: bool = False, tensors: dict | None = None):
         if min(dim, layers, heads, ff_dim) < 1 or dim % heads != 0:
             raise ValueError(f"transformer needs positive sizes and heads dividing dim, got "
                              f"dim={dim}, layers={layers}, heads={heads}, ff_dim={ff_dim}")
         self.dim, self.layers, self.heads = dim, layers, heads
 
-        def draw(rows, cols):
-            if zero_residual:
-                return np.zeros((rows, cols))
-            return rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols))
+        def draw(shape):
+            return np.zeros(shape) if zero_residual else rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
 
         self.tensors: dict[str, Tensor] = {}
+        d, f = (dim,), (ff_dim,)
         for i in range(layers):
-            p = f"layer{i}."
-            self._add(p + "ln1_g", np.ones(dim))
-            self._add(p + "ln1_b", np.zeros(dim))
-            self._add(p + "wq", draw(dim, dim))
-            self._add(p + "wk", draw(dim, dim))
-            self._add(p + "wv", draw(dim, dim))
-            self._add(p + "wo", np.zeros((dim, dim)))
-            self._add(p + "ln2_g", np.ones(dim))
-            self._add(p + "ln2_b", np.zeros(dim))
-            self._add(p + "w1", draw(dim, ff_dim))
-            self._add(p + "b1", np.zeros(ff_dim))
-            self._add(p + "w2", np.zeros((ff_dim, dim)))
-
-    def _add(self, name, arr):
-        self.tensors[name] = Tensor(arr, requires_grad=True, op=f"tf.{name}")
+            for name, shape, make in (
+                    ("ln1_g", d, np.ones), ("ln1_b", d, np.zeros), ("wq", d + d, draw), ("wk", d + d, draw),
+                    ("wv", d + d, draw), ("wo", d + d, np.zeros), ("ln2_g", d, np.ones), ("ln2_b", d, np.zeros),
+                    ("w1", d + f, draw), ("b1", f, np.zeros), ("w2", f + d, np.zeros)):
+                name = f"layer{i}.{name}"
+                arr = stored(tensors, name, shape)
+                self.tensors[name] = Tensor(make(shape) if arr is None else arr, requires_grad=True,
+                                            op=f"tf.{name}")
 
     def named(self):
         return self.tensors.items()

@@ -1,6 +1,6 @@
 """What bench/ relies on in the package: the names its traced run replaces,
-and the quantizer and checkpoint checks it runs on every workload's output.
-A refactor that breaks either shows up here rather than as failed bench
+and the quantizer, checkpoint and eval checks it runs on the workloads' output.
+A refactor that breaks one of them shows up here rather than as failed bench
 checks."""
 
 from pathlib import Path
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from dualvq.config import config_from_dict
-from dualvq.run import run_train
+from dualvq.run import run_eval, run_train
 
 
 @pytest.fixture
@@ -27,7 +27,7 @@ def test_every_traced_target_resolves(bench):
 
 
 def test_workload_checks_pass_on_a_dual_run(bench, tmp_path):
-    from workloads import check_quantizer, check_roundtrip
+    from workloads import check_eval, check_quantizer, check_roundtrip
 
     seed = 21
     cfg = config_from_dict({"seed": seed, "steps": 4, "batch": 4, "disc_start_step": 2,
@@ -36,3 +36,5 @@ def test_workload_checks_pass_on_a_dual_run(bench, tmp_path):
     final = run_train(cfg).final_checkpoint
     assert check_quantizer(final, seed) == []
     assert check_roundtrip(final, tmp_path / "roundtrip") == []
+    first = run_eval(final, split="val")
+    assert check_eval(run_eval(final, split="val"), first) == []

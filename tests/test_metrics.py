@@ -7,10 +7,12 @@ import pytest
 
 from dualvq.codebook import Codebook, usage_stats
 from dualvq.metrics import (
+    FEATURE_SEED,
     compression_ratio,
     emit_utilization,
     frechet_gaussian,
     gaussian_stats,
+    image_features,
     joint_basis,
     l1_metric,
     l2_metric,
@@ -145,6 +147,26 @@ class TestJointBasis:
         f2 = 1.3 * rng.normal(size=(n, d)) + 0.2
         plain = frechet_gaussian(*gaussian_stats(f1), *gaussian_stats(f2))
         assert abs(projected_frechet(f1, f2) - plain) <= 1e-12 * plain
+
+
+class TestImageFeatures:
+    @pytest.mark.parametrize("size", [8, 32, 10, 3])
+    def test_matches_a_loop_over_whole_patches(self, size):
+        x = np.random.default_rng(size).uniform(size=(5, 3, size, size))
+        proj = np.random.default_rng(FEATURE_SEED).normal(0.0, 1.0 / np.sqrt(48), (48, 16))
+        ref = [np.maximum(x[:, :, i:i + 4, j:j + 4].reshape(5, 48) @ proj, 0.0)
+               for i in range(0, size - 3, 4) for j in range(0, size - 3, 4)]
+        got = image_features(x)
+        assert got.shape == (5, 16 * (size // 4) ** 2)     # 1024 at 32x32, none below 4x4
+        if ref:
+            assert np.allclose(got, np.concatenate(ref, axis=1), rtol=1e-12, atol=0.0)
+
+    def test_one_map_whatever_the_global_random_state(self):
+        x = np.random.default_rng(0).uniform(size=(2, 3, 8, 8))
+        first = image_features(x)
+        np.random.seed(1)
+        np.random.default_rng(2).normal(size=100)
+        assert image_features(x).tobytes() == first.tobytes()
 
 
 class TestUtilization:

@@ -13,6 +13,7 @@ from dualvq.checkpoint import CHECKPOINT_FILE, load_checkpoint, save_checkpoint
 from dualvq.tensor_io import array_to_bytes, bytes_to_array
 from dualvq.data import batch_indices, synth_dataset
 from dualvq.dual_quantizer import quantize_dual
+from dualvq import model
 from dualvq.model import (
     ADAM_EPS,
     LAMBDA_DELTA,
@@ -369,6 +370,40 @@ class TestCheckpointRoundTrip:
         q1, q2 = state.quantizer, loaded.quantizer
         assert np.array_equal(q1.global_cb.counts, q2.global_cb.counts)
         assert np.array_equal(q1.local_cb.window_counts, q2.local_cb.window_counts)
+
+    @pytest.mark.parametrize("mode", ["dual", "single"])
+    def test_load_draws_nothing_and_keeps_the_stored_arrays(self, tmp_path, monkeypatch, mode):
+        cfg = desk_config(seed=20, disc_start_step=1, quantizer_mode=mode)
+        state, _ = run_steps(cfg, 2)
+        save_checkpoint(state, str(tmp_path / "ck"))
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"load_checkpoint drew with rng.{name}")
+
+        monkeypatch.setattr(model, "component_rng", lambda seed, name: NoDraws())
+        loaded, _ = load_checkpoint(str(tmp_path / "ck"))
+        for (ka, pa), (kb, pb) in zip(state.all_params(), loaded.all_params(), strict=True):
+            assert ka == kb and pa.data.tobytes() == pb.data.tobytes(), ka
+        for k in state.adam_m:
+            assert state.adam_m[k].tobytes() == loaded.adam_m[k].tobytes(), k
+            assert state.adam_v[k].tobytes() == loaded.adam_v[k].tobytes(), k
+
+    def test_init_model_takes_each_array_it_is_given(self):
+        cfg = desk_config(seed=21)
+        fresh = dict(init_model(cfg).all_params())
+        tensors = {prefix + k: np.full(p.shape, 0.5) for k, p in fresh.items()
+                   for prefix in ("", "adam_m.", "adam_v.")}
+        del tensors["tf.layer1.wq"]               # absent: made fresh
+        tensors["enc.down0.b"] = np.ones(3)       # of another shape: made fresh
+        built = init_model(cfg, tensors)
+        for k, p in built.all_params():
+            if k in ("tf.layer1.wq", "enc.down0.b"):
+                assert p.shape == fresh[k].shape and not (p.data == 0.5).any(), k
+            else:
+                assert p.data is tensors[k], k
+                assert built.adam_m[k] is tensors[f"adam_m.{k}"], k
+                assert built.adam_v[k] is tensors[f"adam_v.{k}"], k
 
     def test_wrong_shape_rejected(self, tmp_path):
         cfg = desk_config(seed=18)

@@ -9,6 +9,7 @@ import pytest
 
 import dualvq
 from dualvq import autodiff as ad
+from dualvq import model
 from dualvq import run
 from dualvq.autodiff import NonFiniteError
 from dualvq.checkpoint import (CHECKPOINT_FILE, CsvLog, load_checkpoint, read_rows, save_checkpoint,
@@ -16,7 +17,7 @@ from dualvq.checkpoint import (CHECKPOINT_FILE, CsvLog, load_checkpoint, read_ro
 from dualvq.codebook import load_codebook
 from dualvq.config import ConfigError, config_from_dict, experiment_hash
 from dualvq.data import batch_indices, build_dataset, save_ppm, split_dataset, split_rows
-from dualvq.model import StepReport, training_step
+from dualvq.model import StepReport, TrainConfig, init_model, training_step
 from dualvq.rng import component_rng
 from dualvq.run import export_codebook, run_ablation, run_eval, run_train
 
@@ -249,6 +250,25 @@ class TestRunEval:
         assert any(with_graph)
         for k in ("psnr", "l1", "l2", "fid_star"):
             assert ev[k] == ev_graph[k], k
+
+    def test_fid_star_depends_only_on_images_and_reconstructions(self, monkeypatch):
+        images = np.random.default_rng(5).uniform(size=(12, 3, 32, 32))
+        dual, single = (init_model(TrainConfig(seed=s, quantizer_mode=m))
+                        for s, m in ((1, "dual"), (2, "single")))
+        monkeypatch.setattr(run, "reconstruct", lambda state, batch: (0.8 * batch + 0.1, None, None))
+        fids = [run.evaluate_state(state, images)["fid_star"] for state in (dual, single)]
+        assert fids[0] == fids[1] > 0.0
+        monkeypatch.setattr(run, "reconstruct", lambda state, batch: (batch.copy(), None, None))
+        assert abs(run.evaluate_state(dual, images)["fid_star"]) <= 1e-9
+
+    def test_eval_encodes_each_chunk_once(self, monkeypatch):
+        state = init_model(TrainConfig(seed=4))
+        images = np.random.default_rng(6).uniform(size=(40, 3, 32, 32))
+        calls = []
+        encode = model.encode
+        monkeypatch.setattr(model, "encode", lambda *a: calls.append(1) or encode(*a))
+        run.evaluate_state(state, images)
+        assert len(calls) == -(-40 // run._EVAL_CHUNK) == 2
 
     def test_unknown_split(self, tmp_path):
         cfg = config_from_dict(small_raw(tmp_path / "run", steps=2, eval_every=2))
