@@ -1,8 +1,8 @@
 """The dual quantization mechanism, as an ordered list of heads.
 
 A head is a codebook over the next ``codebook.dim`` latent channels, plus
-an optional refiner: a transformer that turns the raw entries into this
-step's lookup table. ``quantize_dual`` peels the channels off head by head,
+an optional refiner: a transformer that turns the raw entries into the
+lookup table. ``quantize_dual`` peels the channels off head by head,
 quantizes each slice against its table, and concatenates the quantized
 slices back in the original channel order. Each head contributes a
 codebook term and a commitment term; the total quantization loss is their
@@ -76,21 +76,26 @@ def rows_to_channels(rows: Tensor, b: int, h: int, w: int) -> Tensor:
     return reshape(rows, (b, h, w, c)).swapaxes(2, 3).swapaxes(1, 2)
 
 
-def quantize_dual(z: Tensor, state: QuantizerState,
-                  update_usage: bool = True) -> tuple[Tensor, list[QuantizationResult]]:
-    """Quantize each head's channels and concatenate them back channel-wise;
-    returns (z_q, results) with the results in head order."""
+def lookup_tables(state: QuantizerState) -> list[Tensor | None]:
+    """Each head's lookup table: None for a raw head, ``refine(entries, refiner)``
+    for a refined one. No image enters a table, so one serves every batch."""
+    return [None if head.refiner is None else refine(head.codebook.entries, head.refiner)
+            for head in state.heads]
+
+
+def quantize_dual(z: Tensor, state: QuantizerState, update_usage: bool = True,
+                  tables: list | None = None) -> tuple[Tensor, list[QuantizationResult]]:
+    """Quantize each head's channels against ``tables`` (``lookup_tables`` when
+    None) and concatenate them back channel-wise; returns (z_q, results in head order)."""
     b, c, h, w = z.shape
     widths = [head.codebook.dim for head in state.heads]
     if sum(widths) != c:
         raise ShapeError(f"quantize_dual: head widths {'+'.join(map(str, widths))} != C={c}")
     parts, results = [], []
-    for head in state.heads:
+    for head, table in zip(state.heads, lookup_tables(state) if tables is None else tables, strict=True):
         part = z
         if head is not state.heads[-1]:
             part, z = split_channels(z, head.codebook.dim)
-        # the refined table is this step's lookup; the raw entries stay the parameters
-        table = None if head.refiner is None else refine(head.codebook.entries, head.refiner)
         res = quantize_st(channels_to_rows(part), head.codebook, beta=state.beta, entries=table,
                           update_usage=update_usage)
         results.append(res)

@@ -35,6 +35,7 @@ from .autodiff import (
     first_nonfinite,
     l1_loss,
     mul,
+    no_grad,
     relu,
 )
 from .codebook import Codebook, usage_stats
@@ -419,7 +420,11 @@ def training_step(state: ModelState, batch: np.ndarray) -> StepReport:
                       perplexity_l=perp_l, active_g=act_g, active_l=act_l)
 
 
-def reconstruct(state: ModelState, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """Forward pass without usage updates; returns (x_hat, z_q, results)."""
-    z_q, results = quantize_dual(encode(state, Tensor(batch)), state.quantizer, update_usage=False)
-    return decode(state, z_q).data, z_q.data, results
+def reconstruct(state: ModelState, batch: np.ndarray,
+                tables: list | None = None) -> tuple[np.ndarray, np.ndarray, list]:
+    """Forward pass without usage updates or a backward graph, against the
+    heads' ``tables`` when given; returns (x_hat, z_q, results)."""
+    with no_grad():
+        z_q, results = quantize_dual(encode(state, Tensor(batch)), state.quantizer,
+                                     update_usage=False, tables=tables)
+        return decode(state, z_q).data, z_q.data, results

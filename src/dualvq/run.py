@@ -3,7 +3,7 @@ the ablation grid, and codebook export.
 
 Every run directory is self-describing: the config echo plus the seed
 reproduce the CSVs bit-for-bit. Evaluation metrics are per-image means in
-dataset order, so they do not depend on how the eval set is chunked.
+dataset order, so up to rounding they do not depend on how eval is chunked.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from .checkpoint import (CHECKPOINT_FILE, CsvLog, format_cell, load_checkpoint, 
 from .codebook import dump_codebook, usage_stats
 from .config import ConfigError, ExperimentConfig, config_from_dict, experiment_hash, grid_run, write_echo
 from .data import SPLITS, batch_indices, build_dataset, epoch_of_step
+from .dual_quantizer import lookup_tables
 from .metrics import (emit_utilization, frechet_gaussian, gaussian_stats, image_features, joint_basis,
                       l1_metric, l2_metric, psnr, sanitize_for_json)
 from .model import ModelState, StepReport, init_model, reconstruct, training_step
 
 EVAL_COLUMNS = ("step", "psnr", "l1", "l2", "fid_star")
 ABLATION_COLUMNS = ("label", "global", "local", "codebook_total", "fid_star", "psnr", "l1", "l2")
-_EVAL_CHUNK = 32
 
 
 @dataclass
@@ -42,21 +42,19 @@ class RunResult:
     last_eval: dict
 
 
-def _chunks(n, size):
-    for lo in range(0, n, size):
-        yield lo, min(lo + size, n)
-
-
 def _reconstruct_all(state: ModelState, images: np.ndarray) -> np.ndarray:
-    out = np.empty_like(images)
-    for lo, hi in _chunks(images.shape[0], _EVAL_CHUNK):
-        out[lo:hi] = reconstruct(state, images[lo:hi])[0]
+    out, size = np.empty_like(images), state.config.batch
+    with no_grad():
+        tables = lookup_tables(state.quantizer)   # refined once, not once per chunk
+    for lo in range(0, images.shape[0], size):
+        out[lo:lo + size] = reconstruct(state, images[lo:lo + size], tables)[0]
     return out
 
 
 def evaluate_state(state: ModelState, images: np.ndarray) -> dict:
     """Reconstruction metrics plus the Gaussian Fréchet stand-in, from one
-    encode-quantize-decode pass per chunk of images.
+    forward-only pass per chunk of ``config.batch`` images: an evaluation
+    holds at most one training batch of activations.
 
     fid_star is a closed-form Fréchet distance between Gaussians fit to the
     fixed ``image_features`` of the images and of their reconstructions,
@@ -64,8 +62,7 @@ def evaluate_state(state: ModelState, images: np.ndarray) -> dict:
     those two image sets, so it ranks models of any seed or quantizer on
     one scale; it is not Inception-FID.
     """
-    with no_grad():   # forward only: no backward graph holds a chunk's intermediates
-        recon = _reconstruct_all(state, images)
+    recon = _reconstruct_all(state, images)
     psnrs = [psnr(images[i], recon[i]) for i in range(images.shape[0])]
     l1s = [l1_metric(images[i], recon[i]) for i in range(images.shape[0])]
     l2s = [l2_metric(images[i], recon[i]) for i in range(images.shape[0])]

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dualvq
 from dualvq import autodiff as ad
-from dualvq import model
+from dualvq import dual_quantizer, model
 from dualvq import run
 from dualvq.autodiff import NonFiniteError
 from dualvq.checkpoint import (CHECKPOINT_FILE, CsvLog, load_checkpoint, read_rows, save_checkpoint,
@@ -245,7 +246,8 @@ class TestRunEval:
         monkeypatch.setattr(ad, "_make", recording_make)
         ev = run.evaluate_state(state, images)
         assert with_graph and not any(with_graph)
-        monkeypatch.setattr(run, "no_grad", contextlib.nullcontext)   # the same pass with a graph
+        for owner in (run, model):   # the same pass with a graph
+            monkeypatch.setattr(owner, "no_grad", contextlib.nullcontext)
         ev_graph = run.evaluate_state(state, images)
         assert any(with_graph)
         for k in ("psnr", "l1", "l2", "fid_star"):
@@ -255,10 +257,10 @@ class TestRunEval:
         images = np.random.default_rng(5).uniform(size=(12, 3, 32, 32))
         dual, single = (init_model(TrainConfig(seed=s, quantizer_mode=m))
                         for s, m in ((1, "dual"), (2, "single")))
-        monkeypatch.setattr(run, "reconstruct", lambda state, batch: (0.8 * batch + 0.1, None, None))
+        monkeypatch.setattr(run, "reconstruct", lambda state, batch, tables=None: (0.8 * batch + 0.1, None, None))
         fids = [run.evaluate_state(state, images)["fid_star"] for state in (dual, single)]
         assert fids[0] == fids[1] > 0.0
-        monkeypatch.setattr(run, "reconstruct", lambda state, batch: (batch.copy(), None, None))
+        monkeypatch.setattr(run, "reconstruct", lambda state, batch, tables=None: (batch.copy(), None, None))
         assert abs(run.evaluate_state(dual, images)["fid_star"]) <= 1e-9
 
     def test_eval_encodes_each_chunk_once(self, monkeypatch):
@@ -268,7 +270,37 @@ class TestRunEval:
         encode = model.encode
         monkeypatch.setattr(model, "encode", lambda *a: calls.append(1) or encode(*a))
         run.evaluate_state(state, images)
-        assert len(calls) == -(-40 // run._EVAL_CHUNK) == 2
+        assert len(calls) == -(-40 // state.config.batch) == 5
+
+    def test_eval_chunking_leaves_the_metrics(self):
+        images = np.random.default_rng(7).uniform(size=(40, 3, 32, 32))
+        small, whole = (run.evaluate_state(init_model(TrainConfig(seed=4, batch=b)), images)
+                        for b in (8, 40))
+        for k in ("psnr", "l1", "l2"):
+            assert small[k] == pytest.approx(whole[k], rel=1e-12, abs=0.0), k
+        assert small["fid_star"] == pytest.approx(whole["fid_star"], rel=1e-8, abs=0.0)
+
+    def test_eval_refines_once(self, monkeypatch):
+        state = init_model(TrainConfig(seed=4))
+        images = np.random.default_rng(6).uniform(size=(40, 3, 32, 32))
+        calls = []
+        refine = dual_quantizer.refine
+        monkeypatch.setattr(dual_quantizer, "refine", lambda *a: calls.append(1) or refine(*a))
+        run.evaluate_state(state, images)
+        assert len(calls) == 1
+
+    def test_eval_working_set_does_not_grow_with_the_split(self):
+        state = init_model(TrainConfig(seed=4))
+        images = np.random.default_rng(8).uniform(size=(64, 3, 32, 32))
+        peaks = []
+        for n in (8, 64):
+            tracemalloc.start()
+            try:
+                run.evaluate_state(state, images[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
     def test_unknown_split(self, tmp_path):
         cfg = config_from_dict(small_raw(tmp_path / "run", steps=2, eval_every=2))
