@@ -139,15 +139,19 @@ def format_cell(v) -> str:
 
 
 class CsvLog:
-    """Append-only CSV with a fixed header; floats keep full precision."""
+    """A CSV log opened at a run's start ``step``: rows of an existing file
+    past ``step`` (or torn) are dropped, then rows are appended. Floats keep
+    full precision; column 0 is the step."""
 
-    def __init__(self, path: str, columns):
+    def __init__(self, path: str, columns, step: int):
         self.path = path
         self.columns = tuple(columns)
-        fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+        header, rows = read_rows(path) if os.path.exists(path) else ([], [])
+        if header and tuple(header) != self.columns:
+            raise ValueError(f"{path}: header {','.join(header)} is not {','.join(self.columns)}")
+        lines = [self.columns] + [r for r in rows if int(r[0]) <= step]
+        tensor_io.atomic_write_bytes(path, "".join(",".join(ln) + "\n" for ln in lines).encode())
         self._fh = open(path, "a", buffering=1)
-        if fresh:
-            self._fh.write(",".join(self.columns) + "\n")
 
     def append(self, values):
         if len(values) != len(self.columns):
@@ -159,20 +163,12 @@ class CsvLog:
 
 
 def read_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    """Header and rows. A last row whose cell count differs from the
-    header's is the tail of an interrupted write and is dropped."""
+    """Header and rows; an empty file has neither. A last row whose cell
+    count differs from the header's is the tail of an interrupted write and
+    is dropped."""
     with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
+        lines = [ln.rstrip("\n").split(",") for ln in f if ln.strip()]
+    header, rows = (lines[0], lines[1:]) if lines else ([], [])
     if rows and len(rows[-1]) != len(header):
         rows.pop()
     return header, rows
-
-
-def truncate_to_step(path: str, max_step: int):
-    """Drop CSV rows past ``max_step`` (column 0 is the step)."""
-    header, rows = read_rows(path)
-    kept = [r for r in rows if int(r[0]) <= max_step]
-    payload = "\n".join([",".join(header)] + [",".join(r) for r in kept]) + "\n"
-    tensor_io.atomic_write_bytes(path, payload.encode())

@@ -147,7 +147,10 @@ def load_ppm(path: str) -> np.ndarray:
     pos += 1  # single whitespace after maxval
     if fields[0] != b"P6":
         raise ValueError(f"{path}: not a binary PPM (magic {fields[0]!r})")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        w, h, maxval = (int(f) for f in fields[1:])
+    except ValueError:
+        raise ValueError(f"{path}: PPM header fields {fields[1:]} are not all integers") from None
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
     raw = np.frombuffer(blob[pos : pos + 3 * w * h], dtype=np.uint8)

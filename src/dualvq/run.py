@@ -16,8 +16,7 @@ import numpy as np
 
 from . import tensor_io
 from .autodiff import NonFiniteError, no_grad
-from .checkpoint import (CHECKPOINT_FILE, CsvLog, format_cell, load_checkpoint, read_rows,
-                         save_checkpoint, truncate_to_step)
+from .checkpoint import CHECKPOINT_FILE, CsvLog, format_cell, load_checkpoint, read_rows, save_checkpoint
 from .codebook import dump_codebook, usage_stats
 from .config import ConfigError, ExperimentConfig, config_from_dict, experiment_hash, grid_run, write_echo
 from .data import SPLITS, batch_indices, build_dataset, epoch_of_step
@@ -100,7 +99,9 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
     final_dir = os.path.join(out_dir, "checkpoints", "final")
     best_dir = os.path.join(out_dir, "checkpoints", "best")
 
-    if resume is not None:
+    if resume is None:
+        state = init_model(cfg.train)
+    else:
         # without force a mismatch is refused below, and a match means the same TrainConfig
         state, manifest = load_checkpoint(resume, cfg.train if force else None)
         stored = manifest.get("experiment_hash")
@@ -109,22 +110,15 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
                 f"resume refused: checkpoint config hash {stored} != current {exp_hash} "
                 "(pass --force to override)"
             )
-        for path in (steps_path, eval_path):
-            if os.path.exists(path):
-                truncate_to_step(path, state.step)
-    else:
-        state = init_model(cfg.train)
 
-    best_l1 = float("inf")
-    if resume is not None and os.path.exists(eval_path):
-        best_l1 = min((float(r[2]) for r in read_rows(eval_path)[1]), default=best_l1)
-
-    steps_csv = CsvLog(steps_path, StepReport.CSV_COLUMNS)
-    eval_csv = CsvLog(eval_path, EVAL_COLUMNS)
+    # a fresh run and a resume start alike: each log keeps its rows up to state.step
+    steps_csv = CsvLog(steps_path, StepReport.CSV_COLUMNS, state.step)
+    eval_csv = CsvLog(eval_path, EVAL_COLUMNS, state.step)
+    best_l1 = min((float(r[2]) for r in read_rows(eval_path)[1]), default=float("inf"))
     last_dir = os.path.join(out_dir, "checkpoints", "last")
     last_eval: dict = {}
     target = cfg.train.steps if stop_after is None else min(cfg.train.steps, stop_after)
-    prev_epoch = epoch_of_step(n_train, cfg.train.batch, state.step - 1) if state.step > 0 else 0
+    prev_epoch = epoch_of_step(n_train, cfg.train.batch, state.step - 1)
 
     try:
         while state.step < target:

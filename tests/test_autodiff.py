@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.special   # the reference for the engine's own erf and expit kernels
 
 from dualvq import autodiff as ad
@@ -867,3 +868,28 @@ class TestFiniteAndDump:
         for n in range(len(blob)):
             with pytest.raises(ValueError, match="tensor dump"):
                 tensor_io.bytes_to_array(blob[:n])
+
+    @staticmethod
+    def parses_or_refuses(blob, offset=0):
+        try:
+            arr, end = tensor_io.bytes_to_array(blob, offset)
+        except ValueError:
+            return
+        assert offset + 12 <= end <= len(blob)
+        assert arr.dtype == np.float64 and end == offset + 12 + 8 * (arr.ndim + arr.size)
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.sampled_from([b"", tensor_io.MAGIC, tensor_io.MAGIC + b"\x01\0\0\0"])
+           .flatmap(lambda head: st.binary(max_size=64).map(lambda tail: head + tail)),
+           offset=st.integers(0, 8))
+    def test_any_bytes_parse_or_raise_value_error(self, blob, offset):
+        self.parses_or_refuses(blob, offset)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.lists(st.integers(0, 3), max_size=3), cut=st.integers(0, 200),
+           edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4))
+    def test_cut_or_changed_dump_parses_or_raises_value_error(self, shape, cut, edits):
+        blob = bytearray(tensor_io.array_to_bytes(np.arange(float(np.prod(shape))).reshape(shape)))
+        for pos, byte in edits:
+            blob[pos % len(blob)] = byte
+        self.parses_or_refuses(bytes(blob[: len(blob) - cut % (len(blob) + 1)]))

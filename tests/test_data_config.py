@@ -122,6 +122,13 @@ class TestPpm:
             load_ppm(str(path))
         assert str(path) in str(err.value)
 
+    def test_header_field_not_an_integer(self, tmp_path):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(b"P6\nab 4\n255\n")
+        with pytest.raises(ValueError, match="not all integers") as err:
+            load_ppm(str(path))
+        assert str(path) in str(err.value)
+
     def test_build_dataset_ppm(self, tmp_path):
         save_ppm(str(tmp_path / "a.ppm"), np.zeros((3, 16, 16)))
         imgs = build_dataset({"kind": "ppm_dir", "path": str(tmp_path)}, 16)

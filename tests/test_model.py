@@ -354,6 +354,34 @@ class TestCheckpointRoundTrip:
         rep_b = training_step(loaded, data[idx])
         assert rep_a == rep_b
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), mode=st.sampled_from(["dual", "single"]),
+           split_global=st.sampled_from([2, 4]), codebook_total=st.integers(2, 24),
+           transformer_on=st.booleans(), disc_start_step=st.integers(0, 2), n_steps=st.integers(0, 3))
+    def test_any_small_config_round_trips_bit_for_bit(self, tmp_path_factory, seed, mode, split_global,
+                                                      codebook_total, transformer_on, disc_start_step,
+                                                      n_steps):
+        cfg = TrainConfig(seed=seed, batch=2, image_size=8, enc_channels=(4,), disc_channels=(4,),
+                          latent_channels=split_global + 2, split_global=split_global, split_local=2,
+                          quantizer_mode=mode, codebook_total=codebook_total, tf_layers=1,
+                          transformer_on=transformer_on, disc_start_step=disc_start_step)
+        state, _ = run_steps(cfg, n_steps)
+        ck = str(tmp_path_factory.mktemp("ck"))
+        save_checkpoint(state, ck)
+        loaded, _ = load_checkpoint(ck)
+        assert (loaded.step, loaded.adam_t_gen, loaded.adam_t_disc) == \
+            (state.step, state.adam_t_gen, state.adam_t_disc)
+        for (ka, pa), (kb, pb) in zip(state.all_params(), loaded.all_params(), strict=True):
+            assert ka == kb and pa.data.tobytes() == pb.data.tobytes(), ka
+        assert state.adam_m.keys() == loaded.adam_m.keys()
+        for k in state.adam_m:
+            assert state.adam_m[k].tobytes() == loaded.adam_m[k].tobytes(), k
+            assert state.adam_v[k].tobytes() == loaded.adam_v[k].tobytes(), k
+        for (na, ca), (nb, cb) in zip(state.quantizer.codebooks().items(),
+                                      loaded.quantizer.codebooks().items(), strict=True):
+            assert na == nb and ca.counts.tobytes() == cb.counts.tobytes()
+            assert ca.window_counts.tobytes() == cb.window_counts.tobytes()
+
     def test_roundtrip_preserves_everything(self, tmp_path):
         cfg = desk_config(seed=17, disc_start_step=2)
         state, _ = run_steps(cfg, 5)

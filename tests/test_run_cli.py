@@ -1,20 +1,22 @@
 import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dualvq
 from dualvq import autodiff as ad
 from dualvq import dual_quantizer, model
 from dualvq import run
 from dualvq.autodiff import NonFiniteError
-from dualvq.checkpoint import (CHECKPOINT_FILE, CsvLog, load_checkpoint, read_rows, save_checkpoint,
-                               truncate_to_step)
+from dualvq.checkpoint import (CHECKPOINT_FILE, CsvLog, format_cell, load_checkpoint, read_rows,
+                               save_checkpoint)
 from dualvq.codebook import load_codebook
 from dualvq.config import ConfigError, config_from_dict, experiment_hash
 from dualvq.data import batch_indices, build_dataset, save_ppm, split_dataset, split_rows
@@ -106,7 +108,7 @@ class TestRunTrain:
 
     def test_truncate_drops_a_cut_last_row_at_every_offset(self, tmp_path):
         path = str(tmp_path / "steps.csv")
-        log = CsvLog(path, StepReport.CSV_COLUMNS)
+        log = CsvLog(path, StepReport.CSV_COLUMNS, 0)
         for step in range(1, 17):
             log.append((step, *(0.1 * step + 1.0 / k for k in range(1, 10))))
         log.close()
@@ -116,8 +118,54 @@ class TestRunTrain:
         for cut in range(1, len(last)):
             with open(path, "w") as f:
                 f.write(kept + last[:cut])
-            truncate_to_step(path, 15)
+            CsvLog(path, StepReport.CSV_COLUMNS, 15).close()
             assert open(path).read() == kept, repr(last[:cut])
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(st.integers(1, 10**6), unique=True, max_size=8).map(sorted),
+           cells=st.lists(st.floats(allow_nan=False) | st.integers(-10**9, 10**9), min_size=4, max_size=4),
+           start=st.integers(0, 10**6), later=st.integers(1, 10**6), cut=st.integers(0, 200))
+    def test_log_keeps_exactly_the_rows_up_to_its_start_step(self, tmp_path_factory, steps, cells,
+                                                             start, later, cut):
+        path = str(tmp_path_factory.mktemp("log") / "eval.csv")
+        log = CsvLog(path, run.EVAL_COLUMNS, 0)
+        for step in steps:
+            log.append((step, *cells))
+        log.close()
+        # a crash inside the append of a later step leaves any prefix of its row
+        row = ",".join(map(format_cell, (start + later, *cells))) + "\n"
+        with open(path, "a") as f:
+            f.write(row[:cut])
+        CsvLog(path, run.EVAL_COLUMNS, start).close()
+        header, rows = read_rows(path)
+        assert header == list(run.EVAL_COLUMNS)
+        assert [int(r[0]) for r in rows] == [s for s in steps if s <= start]
+        assert all(r[1:] == [format_cell(c) for c in cells] for r in rows)
+
+    def test_log_refuses_another_header(self, tmp_path):
+        path = tmp_path / "steps.csv"
+        path.write_text("step,psnr\n1,2.0\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            CsvLog(str(path), StepReport.CSV_COLUMNS, 1)
+        assert path.read_text() == "step,psnr\n1,2.0\n"
+
+    def test_two_fresh_runs_into_one_directory_equal_one(self, tmp_path):
+        run_train(config_from_dict(small_raw(tmp_path / "once", steps=6, eval_every=3)))
+        for _ in range(2):
+            run_train(config_from_dict(small_raw(tmp_path / "twice", steps=6, eval_every=3)))
+        for name in ("steps.csv", "eval.csv"):
+            assert (tmp_path / "twice" / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
+
+    def test_resume_over_an_empty_log(self, tmp_path):
+        cfg = config_from_dict(small_raw(tmp_path / "part", steps=12))
+        last = os.path.join(run_train(cfg, stop_after=8).out_dir, "checkpoints", "last")
+        (tmp_path / "part" / "steps.csv").write_bytes(b"")
+        run_train(config_from_dict(small_raw(tmp_path / "part", steps=12)), resume=last)
+        header, rows = read_rows(str(tmp_path / "part" / "steps.csv"))
+        assert header == list(StepReport.CSV_COLUMNS)
+        assert [int(r[0]) for r in rows] == list(range(9, 13))
+        _, eval_rows = read_rows(str(tmp_path / "part" / "eval.csv"))
+        assert [int(r[0]) for r in eval_rows] == [4, 8, 12]
 
     def test_resume_after_a_one_byte_row_fragment(self, tmp_path):
         run_train(config_from_dict(small_raw(tmp_path / "full", steps=16)))
@@ -409,6 +457,16 @@ class TestAblation:
         for r in rows:
             for cell in r[3:]:
                 assert np.isfinite(float(cell))
+
+    def test_worker_count_leaves_every_byte(self, tmp_path, monkeypatch):
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DUALVQ_THREADS", threads)
+            run_ablation(config_from_dict(small_raw(tmp_path / threads, steps=6, eval_every=3,
+                                                    grid=TABLE3_GRID[:2])))
+        names = ["ablation.csv"] + [os.path.join("runs", e["label"], log) for e in TABLE3_GRID[:2]
+                                    for log in ("steps.csv", "eval.csv")]
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_aborted_entry_keeps_the_table(self, tmp_path, monkeypatch, threads):
