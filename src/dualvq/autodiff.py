@@ -712,8 +712,8 @@ def conv_transpose2d(x, w, stride=1, pad=0, *, bias=None, act=None) -> Tensor:
 # -- normalisation and attention pieces -------------------------------------
 
 
-def layernorm(x, gain, bias, eps=1e-5) -> Tensor:
-    """Zero-mean unit-variance over the last dim, then affine."""
+def layernorm(x, gain, bias) -> Tensor:
+    """Zero-mean unit-variance (variance + 1e-5) over the last dim, then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -721,7 +721,7 @@ def layernorm(x, gain, bias, eps=1e-5) -> Tensor:
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
 

@@ -1,7 +1,7 @@
 """Checkpoint directories and the step-metrics CSV.
 
 A checkpoint is a directory holding the one file ``CHECKPOINT_FILE``: a
-manifest line of compact sorted JSON (format version 5, config echo with
+manifest line of compact sorted JSON (format version 6, config echo with
 the seed, step, optimizer counters, usage ``counts`` and ``tensors``, the
 list of tensor keys), then one ``tensor_io`` dump per key in that order,
 ending exactly after the last. State keys (``global_cb``,
@@ -23,7 +23,7 @@ import numpy as np
 from . import tensor_io
 from .model import ModelState, TrainConfig, init_model
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 CHECKPOINT_FILE = "checkpoint.dvq"
 _MANIFEST_KEYS = {"step", "config", "adam_t_gen", "adam_t_disc", "counts", "tensors"}
 
@@ -38,8 +38,7 @@ def _restore_counts(cb, blob, where):
     cb.counts = np.array(blob["cumulative"], dtype=np.uint64)
 
 
-def save_checkpoint(state: ModelState, dirpath: str, experiment: dict | None = None,
-                    experiment_hash: str | None = None):
+def save_checkpoint(state: ModelState, dirpath: str, experiment: dict | None = None):
     tensors = {name: p.data for name, p in state.all_params()}
     for name in state.adam_m:
         tensors[f"adam_m.{name}"] = state.adam_m[name]
@@ -57,8 +56,6 @@ def save_checkpoint(state: ModelState, dirpath: str, experiment: dict | None = N
     }
     if experiment is not None:
         manifest["experiment"] = experiment
-    if experiment_hash is not None:
-        manifest["experiment_hash"] = experiment_hash
     parts = [json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode(), b"\n"]
     parts += [tensor_io.array_to_bytes(arr) for arr in tensors.values()]
     os.makedirs(dirpath, exist_ok=True)
@@ -149,7 +146,7 @@ class CsvLog:
         header, rows = read_rows(path) if os.path.exists(path) else ([], [])
         if header and tuple(header) != self.columns:
             raise ValueError(f"{path}: header {','.join(header)} is not {','.join(self.columns)}")
-        lines = [self.columns] + [r for r in rows if int(r[0]) <= step]
+        lines = [self.columns] + [r for r, s in zip(rows, column(path, rows, 0, int)) if s <= step]
         tensor_io.atomic_write_bytes(path, "".join(",".join(ln) + "\n" for ln in lines).encode())
         self._fh = open(path, "a", buffering=1)
 
@@ -172,3 +169,15 @@ def read_rows(path: str) -> tuple[list[str], list[list[str]]]:
     if rows and len(rows[-1]) != len(header):
         rows.pop()
     return header, rows
+
+
+def column(path: str, rows, i: int, kind=float) -> list:
+    """Cell ``i`` of each of ``path``'s ``rows`` (from ``read_rows``) as ``kind``;
+    a cell that does not parse is refused with its file and line."""
+    out = []
+    for line, row in enumerate(rows, start=2):   # line 1 is the header
+        try:
+            out.append(kind(row[i]))
+        except ValueError:
+            raise ValueError(f"{path}: line {line}: cannot read {row[i]!r} as {kind.__name__}") from None
+    return out

@@ -44,7 +44,7 @@ class ExperimentConfig:
 
 _TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 _TOP_FIELDS = {"dataset", "eval_every", "out_dir", "grid"}
-_DATASET_FIELDS = {"synthetic": {"kind", "seed", "n", "size"}, "ppm_dir": {"kind", "path"}}
+_DATASET_FIELDS = {"synthetic": {"kind", "seed", "n"}, "ppm_dir": {"kind", "path"}}
 _GRID_AXES = ("split_global", "split_local", "transformer_on", "codebook_total")
 
 
@@ -76,16 +76,8 @@ def _fill_defaults(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown dataset keys for kind {kind!r}: {sorted(unknown)}")
     if kind == "synthetic":
-        dataset.setdefault("seed", train.seed)
-        dataset.setdefault("n", 256)
-        dataset.setdefault("size", train.image_size)
-        for k in ("seed", "n", "size"):
-            _integer(dataset[k], f"dataset {k}")
-        if dataset["size"] != train.image_size:
-            raise ConfigError(
-                f"dataset size {dataset['size']} does not match image_size {train.image_size}"
-            )
-        n = dataset["n"]
+        _integer(dataset.setdefault("seed", train.seed), "dataset seed")
+        n = _integer(dataset.setdefault("n", 256), "dataset n")
         what = f"dataset n {n}"
     else:
         path = dataset.get("path")
@@ -115,12 +107,17 @@ def _fill_defaults(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"grid entry {i}: unknown keys {sorted(unknown)}, "
                               f"missing keys {sorted(missing)}")
         entry = {"label": f"grid{i}", **entry}
-        if type(entry["label"]) is not str:
-            raise ConfigError(f"grid entry {i}: label must be a string, got {entry['label']!r}")
+        label = entry["label"]
+        if type(label) is not str:
+            raise ConfigError(f"grid entry {i}: label must be a string, got {label!r}")
+        if label in ("", ".", "..") or "/" in label or os.sep in label:
+            raise ConfigError(f"grid entry {i}: label {label!r} cannot name its run directory")
+        if label in (e["label"] for e in cfg.grid):
+            raise ConfigError(f"grid entry {i}: label {label!r} repeats an earlier entry's")
         try:
             grid_run(cfg, entry)
         except ConfigError as e:
-            raise ConfigError(f"grid entry {i} ({entry['label']}): {e}") from None
+            raise ConfigError(f"grid entry {i} ({label}): {e}") from None
         cfg.grid.append(entry)
     return cfg
 
@@ -156,13 +153,17 @@ def grid_run(cfg: ExperimentConfig, entry: dict) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def trajectory(experiment) -> dict:
+    """What of an experiment dict (``to_dict``) shapes a run's trajectory: all
+    but the output path and the grid. Anything but a dict holds nothing."""
+    if not isinstance(experiment, dict):
+        return {}
+    return {k: v for k, v in experiment.items() if k not in ("out_dir", "grid")}
+
+
 def experiment_hash(cfg: ExperimentConfig) -> str:
-    """Hash of everything that shapes a run's trajectory (output paths and
-    the grid do not)."""
-    d = cfg.to_dict()
-    d.pop("out_dir", None)
-    d.pop("grid", None)
-    blob = json.dumps(d, sort_keys=True).encode()
+    """sha256 of the config's ``trajectory``, the ``config_hash`` of ``utilization.json``."""
+    blob = json.dumps(trajectory(cfg.to_dict()), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 

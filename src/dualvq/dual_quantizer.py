@@ -13,7 +13,7 @@ The dual quantizer is a refined ``"global"`` head followed by a plain
 every latent channel. ``codebooks()`` gives the codebooks by head name, in
 the order the quantization results come back, so code that only walks the
 codebooks (usage reports, checkpoint counters, window resets, export)
-loops over it.
+loops over it; ``usage_columns`` lays usage out as the logs' columns.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autodiff import ShapeError, Tensor, concat, narrow, reshape
-from .codebook import Codebook, QuantizationResult, quantize_st
+from .codebook import Codebook, QuantizationResult, quantize_st, usage_stats
 from .transformer import TransformerParams, refine
 
 
@@ -53,6 +53,14 @@ class QuantizerState:
             if head.refiner is not None:
                 for name, t in head.refiner.named():
                     yield f"tf.{name}", t
+
+
+def usage_columns(state: QuantizerState) -> dict[str, float]:
+    """``perplexity_g/l`` and ``active_g/l`` of the global and local codebooks as
+    the logs report them; the single baseline has no local one and reports zeros."""
+    cbs = state.codebooks()
+    (pg, ag), (pl, al) = (usage_stats(cbs[n]) if n in cbs else (0.0, 0.0) for n in ("global", "local"))
+    return {"perplexity_g": pg, "perplexity_l": pl, "active_g": ag, "active_l": al}
 
 
 def split_channels(z: Tensor, width: int) -> tuple[Tensor, Tensor]:

@@ -16,11 +16,13 @@ import numpy as np
 
 from . import tensor_io
 from .autodiff import NonFiniteError, no_grad
-from .checkpoint import CHECKPOINT_FILE, CsvLog, format_cell, load_checkpoint, read_rows, save_checkpoint
-from .codebook import dump_codebook, usage_stats
-from .config import ConfigError, ExperimentConfig, config_from_dict, experiment_hash, grid_run, write_echo
+from .checkpoint import (CHECKPOINT_FILE, CsvLog, column, format_cell, load_checkpoint, read_rows,
+                         save_checkpoint)
+from .codebook import dump_codebook
+from .config import (ConfigError, ExperimentConfig, config_from_dict, experiment_hash, grid_run, trajectory,
+                     write_echo)
 from .data import SPLITS, batch_indices, build_dataset, epoch_of_step
-from .dual_quantizer import lookup_tables
+from .dual_quantizer import lookup_tables, usage_columns
 from .metrics import (emit_utilization, frechet_gaussian, gaussian_stats, image_features, joint_basis,
                       l1_metric, l2_metric, psnr, sanitize_for_json)
 from .model import ModelState, StepReport, init_model, reconstruct, training_step
@@ -87,7 +89,6 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
         raise ConfigError("run_train needs an output directory (out_dir or --out)")
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    exp_hash = experiment_hash(cfg)
     write_echo(cfg, out_dir)
 
     train_set = build_dataset(cfg.dataset, cfg.train.image_size, "train")
@@ -104,17 +105,16 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
     else:
         # without force a mismatch is refused below, and a match means the same TrainConfig
         state, manifest = load_checkpoint(resume, cfg.train if force else None)
-        stored = manifest.get("experiment_hash")
-        if stored != exp_hash and not force:
-            raise ConfigError(
-                f"resume refused: checkpoint config hash {stored} != current {exp_hash} "
-                "(pass --force to override)"
-            )
+        stored, current = trajectory(manifest.get("experiment")), trajectory(cfg.to_dict())
+        changed = sorted(k for k in stored.keys() | current.keys() if stored.get(k) != current.get(k))
+        if changed and not force:
+            raise ConfigError(f"resume refused: {resume} was trained with other {changed} "
+                              "(pass --force to override)")
 
     # a fresh run and a resume start alike: each log keeps its rows up to state.step
     steps_csv = CsvLog(steps_path, StepReport.CSV_COLUMNS, state.step)
     eval_csv = CsvLog(eval_path, EVAL_COLUMNS, state.step)
-    best_l1 = min((float(r[2]) for r in read_rows(eval_path)[1]), default=float("inf"))
+    best_l1 = min(column(eval_path, read_rows(eval_path)[1], 2), default=float("inf"))
     last_dir = os.path.join(out_dir, "checkpoints", "last")
     last_eval: dict = {}
     target = cfg.train.steps if stop_after is None else min(cfg.train.steps, stop_after)
@@ -135,20 +135,18 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
                 ev = evaluate_state(state, val_set)
                 eval_csv.append((report.step, ev["psnr"], ev["l1"], ev["l2"], ev["fid_star"]))
                 last_eval = ev
-                save_checkpoint(state, last_dir, experiment=cfg.to_dict(),
-                                experiment_hash=exp_hash)
+                save_checkpoint(state, last_dir, experiment=cfg.to_dict())
                 if ev["l1"] < best_l1:
                     best_l1 = ev["l1"]
-                    save_checkpoint(state, best_dir, experiment=cfg.to_dict(),
-                                    experiment_hash=exp_hash)
+                    save_checkpoint(state, best_dir, experiment=cfg.to_dict())
     finally:
         steps_csv.close()
         eval_csv.close()
 
-    save_checkpoint(state, final_dir, experiment=cfg.to_dict(), experiment_hash=exp_hash)
+    save_checkpoint(state, final_dir, experiment=cfg.to_dict())
     if not os.path.exists(os.path.join(best_dir, CHECKPOINT_FILE)):
-        save_checkpoint(state, best_dir, experiment=cfg.to_dict(), experiment_hash=exp_hash)
-    util_json, util_csv = emit_utilization(state.quantizer.codebooks(), state.step, exp_hash,
+        save_checkpoint(state, best_dir, experiment=cfg.to_dict())
+    util_json, util_csv = emit_utilization(state.quantizer.codebooks(), state.step, experiment_hash(cfg),
                                            os.path.join(out_dir, "utilization"))
     return RunResult(out_dir=out_dir, steps_csv=steps_path, eval_csv=eval_path,
                      final_checkpoint=final_dir, best_checkpoint=best_dir,
@@ -171,12 +169,7 @@ def run_eval(checkpoint: str, split: str = "val", out_path: str | None = None) -
     ev = evaluate_state(state, build_dataset(cfg.dataset, state.config.image_size, split))
     ev["split"] = split
     ev["checkpoint"] = checkpoint
-    codebooks = state.quantizer.codebooks()
-    for name in ("global", "local"):
-        # the single-codebook baseline has no local codebook and reports zeros
-        perp, act = usage_stats(codebooks[name]) if name in codebooks else (0.0, 0.0)
-        ev[f"perplexity_{name[0]}"] = perp
-        ev[f"active_{name[0]}"] = act
+    ev.update(usage_columns(state.quantizer))
     if out_path:
         tensor_io.atomic_write_bytes(
             out_path, json.dumps(sanitize_for_json(ev), indent=1, sort_keys=True).encode()
@@ -208,15 +201,13 @@ def grid_width(n_entries: int) -> int:
     return width
 
 
-def run_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> str:
+def run_ablation(cfg: ExperimentConfig) -> str:
     """Train every grid entry and tabulate final metrics, one row per entry.
     The table keeps every row; if an entry aborted, ``NonFiniteError`` then
     names each one."""
-    if not cfg.grid:
-        raise ConfigError("run_ablation needs a non-empty grid")
-    out_dir = out_dir or cfg.out_dir
-    if not out_dir:
-        raise ConfigError("run_ablation needs an output directory")
+    if not cfg.grid or not cfg.out_dir:
+        raise ConfigError("run_ablation needs a non-empty grid and an output directory")
+    out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
     payloads = []
@@ -236,9 +227,7 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> str:
 
     path = os.path.join(out_dir, "ablation.csv")
     lines = [",".join(ABLATION_COLUMNS)]
-    for row, _ in results:
-        cells = [str(row[0]), str(row[1]), str(row[2])] + [format_cell(v) for v in row[3:]]
-        lines.append(",".join(cells))
+    lines += [",".join([*map(str, row[:3]), *map(format_cell, row[3:])]) for row, _ in results]
     tensor_io.atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
     failed = [f"{row[0]}: {reason}" for row, reason in results if reason]
     if failed:

@@ -2,8 +2,10 @@
 line that the conftest hook prints in the terminal summary."""
 
 import functools
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -355,6 +357,30 @@ def test_criterion_5_degeneracy(tmp_path):
 # -- criterion 6: desk-scale training ----------------------------------------------
 
 
+def train_in_workers(cfgs):
+    """``run_train`` on each config, each in its own ``spawn`` worker process.
+    A spawned worker loads numpy afresh, under the BLAS pin it inherits through
+    the environment (the root conftest.py), so it computes what this process
+    would. On one core the runs take turns and finish no sooner."""
+    with ProcessPoolExecutor(max_workers=len(cfgs), mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(run_train, cfgs))
+
+
+def test_a_spawn_worker_writes_the_in_process_bytes(tmp_path):
+    raw = {"seed": 11, "steps": 20, "disc_start_step": 10, "eval_every": 10}
+    cfgs = {f"{where}_{mode}": config_from_dict({**raw, "quantizer_mode": mode,
+                                                 "out_dir": str(tmp_path / f"{where}_{mode}")})
+            for where in ("worker", "here") for mode in ("dual", "single")}
+    train_in_workers([cfgs["worker_dual"], cfgs["worker_single"]])
+    run_train(cfgs["here_dual"])
+    run_train(cfgs["here_single"])
+    for mode in ("dual", "single"):
+        for name in ("steps.csv", "eval.csv"):
+            worker = (tmp_path / f"worker_{mode}" / name).read_bytes()
+            assert worker == (tmp_path / f"here_{mode}" / name).read_bytes(), f"{mode} {name}"
+            assert worker.count(b"\n") == (21 if name == "steps.csv" else 3)
+
+
 @criterion(6, "desk training: L_rec halves and dual utilization >= single-64 baseline")
 def test_criterion_6_desk_training(tmp_path):
     t0 = time.monotonic()
@@ -366,8 +392,7 @@ def test_criterion_6_desk_training(tmp_path):
     assert dual_cfg.train.resolved_codebooks() == (32, 32)
     assert single_cfg.train.codebook_total == 64
 
-    res_dual = run_train(dual_cfg)
-    res_single = run_train(single_cfg)
+    res_dual, res_single = train_in_workers([dual_cfg, single_cfg])
     elapsed = time.monotonic() - t0
     assert elapsed < 1800.0, f"training pair took {elapsed:.0f}s"
 

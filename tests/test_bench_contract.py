@@ -27,13 +27,16 @@ def test_every_traced_target_resolves(bench):
 
 
 def test_workload_checks_pass_on_a_dual_run(bench, tmp_path):
-    from workloads import check_eval, check_quantizer, check_roundtrip
+    from workloads import check_eval, check_quantizer, check_roundtrip, check_steps_csv
 
     seed = 21
     cfg = config_from_dict({"seed": seed, "steps": 4, "batch": 4, "disc_start_step": 2,
                             "eval_every": 4, "dataset": {"kind": "synthetic", "n": 40},
                             "out_dir": str(tmp_path / "run")})
-    final = run_train(cfg).final_checkpoint
+    result = run_train(cfg)
+    # reads lambda_max, disc_start_step, resolved_codebooks() and StepReport.CSV_COLUMNS
+    assert check_steps_csv(result.steps_csv, cfg) == [[]] * 4
+    final = result.final_checkpoint
     assert check_quantizer(final, seed) == []
     assert check_roundtrip(final, tmp_path / "roundtrip") == []
     first = run_eval(final, split="val")

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -163,14 +164,14 @@ class TestConfig:
         assert cfg.train.disc_start_step == 500
         assert DISC_WEIGHT == 0.8
         assert init_model(cfg.train).quantizer.beta == QuantizerState.beta == 0.25
-        assert cfg.train.lambda_max == 1e4
+        assert cfg.train.lambda_max == 1e4 and "lambda_max" not in cfg.train.to_dict()
         assert cfg.train.image_size == 32
         assert cfg.train.latent_channels == 8
         assert cfg.train.codebook_total == 64
         assert cfg.train.resolved_codebooks() == (32, 32)
         assert cfg.train.split_global == 4 and cfg.train.split_local == 4
         assert cfg.eval_every == 100
-        assert cfg.dataset == {"kind": "synthetic", "seed": 7, "n": 256, "size": 32}
+        assert cfg.dataset == {"kind": "synthetic", "seed": 7, "n": 256}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -196,7 +197,15 @@ class TestConfig:
                          ({"dataset": {"n": 8}, "batch": 2, "eval_every": 2}, "dataset n 8"),
                          ({"dataset": {"n": 40}, "batch": 33}, "dataset n 40"),
                          ({"gan_loss": "hinge"}, "gan_loss"), ({"disc_weight": 0.8}, "disc_weight"),
-                         ({"beta": 0.25}, "beta"), ({"tf_ff_dim": 64}, "tf_ff_dim")):
+                         ({"beta": 0.25}, "beta"), ({"tf_ff_dim": 64}, "tf_ff_dim"),
+                         ({"lambda_max": 1e4}, "lambda_max"),
+                         ({"dataset": {"size": 32}}, r"unknown dataset keys .*\['size'\]"),
+                         # a label names its run directory runs/<label>: one plain component, once
+                         ({"grid": [{**axes, "label": "a"}, {**axes, "label": "a"}]},
+                          "grid entry 1: label 'a' repeats"),
+                         ({"grid": [{**axes, "label": "grid1"}, axes]}, "grid entry 1: label 'grid1' repeats"),
+                         *(({"grid": [{**axes, "label": bad}]}, "grid entry 0: label .* cannot name")
+                           for bad in ("", ".", "..", "../x", "a/b", f"a{os.sep}b"))):
             with pytest.raises(ConfigError, match=key):
                 config_from_dict({"seed": 1, **raw})
 
@@ -269,10 +278,6 @@ class TestConfig:
         c = config_from_dict({"seed": 2, "out_dir": "/tmp/a"})
         assert experiment_hash(a) == experiment_hash(b)
         assert experiment_hash(a) != experiment_hash(c)
-
-    def test_dataset_size_must_match_image_size(self):
-        with pytest.raises(ConfigError):
-            config_from_dict({"seed": 1, "dataset": {"kind": "synthetic", "size": 16}})
 
     def test_single_mode_skips_split_checks(self):
         cfg = config_from_dict({"seed": 1, "quantizer_mode": "single",

@@ -131,8 +131,8 @@ class TestAdaptiveLambda:
         assert abs(lam - 1.9999000049997502) < 1e-9
 
     def test_zero_gan_norm_clamps(self):
-        assert adaptive_lambda(1.0, 0.0, lambda_max=1e4) == 1e4
-        assert adaptive_lambda(1e-9, 0.0, lambda_max=1e4) == pytest.approx(1e-3)
+        assert adaptive_lambda(1.0, 0.0) == 1e4
+        assert adaptive_lambda(1e-9, 0.0) == pytest.approx(1e-3)
 
     def test_equal_norms_near_one(self):
         for n in (0.5, 3.0, 100.0):
@@ -462,6 +462,7 @@ class TestCheckpointRoundTrip:
 
         renamed = with_manifest(drop=["adam_t_disc"], adam_t_discriminator=manifest["adam_t_disc"])
         old_format = with_manifest(format_version=3)
+        removed_field = with_manifest(config={**manifest["config"], "lambda_max": 1e4})
         unknown_key = with_manifest(config={**manifest["config"], "tf_positional": True})
         no_local = with_manifest(counts={"global": manifest["counts"]["global"]})
         short = {**manifest["counts"]["local"], "window": manifest["counts"]["local"]["window"][:-1]}
@@ -487,15 +488,17 @@ class TestCheckpointRoundTrip:
                     with_manifest(tensors=keys), narrower, no_window, not_object, *bad_counts,
                     with_manifest(step="ten"), refused_config, bad_moment, partial_config,
                     with_manifest(config=[]), with_manifest(tensors=5), with_manifest(tensors=None),
-                    with_manifest(format_version=4), old_format):
+                    with_manifest(format_version=4), with_manifest(format_version=5), removed_field,
+                    old_format):
             path.write_bytes(bad)
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 load_checkpoint(str(tmp_path / "ck"))
         with pytest.raises(ValueError, match="format 3"):
             load_checkpoint(str(tmp_path / "ck"))
-        path.write_bytes(with_manifest(format_version=4))
-        with pytest.raises(ValueError, match="format 4"):
-            load_checkpoint(str(tmp_path / "ck"))
+        for version in (4, 5):
+            path.write_bytes(with_manifest(format_version=version))
+            with pytest.raises(ValueError, match=f"format {version}"):
+                load_checkpoint(str(tmp_path / "ck"))
 
     @settings(max_examples=80, deadline=None)
     @given(key=st.sampled_from(["adam_t_disc", "adam_t_gen", "config", "counts", "format_version",

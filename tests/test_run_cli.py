@@ -142,6 +142,26 @@ class TestRunTrain:
         assert [int(r[0]) for r in rows] == [s for s in steps if s <= start]
         assert all(r[1:] == [format_cell(c) for c in cells] for r in rows)
 
+    @pytest.mark.parametrize("cell", ["x", "1.5", ""])
+    def test_log_refuses_a_step_it_cannot_read(self, tmp_path, cell):
+        path = tmp_path / "steps.csv"
+        text = "step,l_rec\n1,0.5\n" + cell + ",0.25\n3,0.125\n"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: cannot read {cell!r} as int")):
+            CsvLog(str(path), ("step", "l_rec"), 1)
+        assert path.read_text() == text
+
+    def test_resume_refuses_an_l1_it_cannot_read(self, tmp_path):
+        cfg = config_from_dict(small_raw(tmp_path / "part", steps=12))
+        last = os.path.join(run_train(cfg, stop_after=8).out_dir, "checkpoints", "last")
+        eval_path = tmp_path / "part" / "eval.csv"
+        lines = eval_path.read_text().splitlines(keepends=True)
+        assert [ln.split(",")[0] for ln in lines] == ["step", "4", "8"]
+        cells = lines[2].split(",")
+        eval_path.write_text(lines[0] + lines[1] + ",".join([cells[0], cells[1], "x", *cells[3:]]))
+        with pytest.raises(ValueError, match=re.escape(f"{eval_path}: line 3: cannot read 'x' as float")):
+            run_train(config_from_dict(small_raw(tmp_path / "part", steps=12)), resume=last)
+
     def test_log_refuses_another_header(self, tmp_path):
         path = tmp_path / "steps.csv"
         path.write_text("step,psnr\n1,2.0\n")
@@ -215,8 +235,7 @@ class TestRunTrain:
         for fail_at in sorted({1, (renames + 1) // 2, renames}):
             calls.clear()
             with pytest.raises(OSError, match="simulated crash"):
-                save_checkpoint(state, last, experiment=manifest["experiment"],
-                                experiment_hash=manifest["experiment_hash"])
+                save_checkpoint(state, last, experiment=manifest["experiment"])
             assert os.listdir(last) == [CHECKPOINT_FILE]
             loaded, _ = load_checkpoint(last)
             assert_states_identical(loaded, saved)
@@ -231,9 +250,14 @@ class TestRunTrain:
     def test_resume_hash_mismatch_refused(self, tmp_path):
         cfg = config_from_dict(small_raw(tmp_path / "r1"))
         result = run_train(cfg)
+        assert "experiment_hash" not in load_checkpoint(result.final_checkpoint)[1]
+        # the other seed is also the dataset's default seed
         other = config_from_dict(small_raw(tmp_path / "r2", seed=99))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape("other ['dataset', 'seed']")):
             run_train(other, resume=result.final_checkpoint)
+        # the output path and the grid are not part of a run's trajectory
+        moved = config_from_dict(small_raw(tmp_path / "r5", grid=TABLE3_GRID[:1]))
+        run_train(moved, resume=result.final_checkpoint)
         run_train(other, resume=result.final_checkpoint, force=True)
         # a forced resume trains under the new config, and records it
         faster = config_from_dict(small_raw(tmp_path / "r3", steps=16, learning_rate=0.05))
@@ -378,8 +402,7 @@ class TestRunEval:
         experiment = manifest["experiment"]
         no_seed = {k: v for k, v in experiment["dataset"].items() if k != "seed"}
         for dataset in ({**experiment["dataset"], "n": "x"}, no_seed):
-            save_checkpoint(state, ckpt, experiment={**experiment, "dataset": dataset},
-                            experiment_hash=manifest["experiment_hash"])
+            save_checkpoint(state, ckpt, experiment={**experiment, "dataset": dataset})
             with pytest.raises(ConfigError, match="dataset") as ei:
                 run_eval(ckpt)
             assert ckpt in str(ei.value)
@@ -552,7 +575,7 @@ class TestCli:
             save_ppm(str(images / f"{i}.ppm"), np.zeros((3, 32, 32)))
         for raw, key in (({"nonsense_key": True}, "nonsense_key"), ({"steps": "ten"}, "steps"),
                          ({"eval_every": "x"}, "eval_every"),
-                         ({"dataset": {"size": "big"}}, "dataset size"),
+                         ({"dataset": {"size": "big"}}, "unknown dataset keys for kind 'synthetic': ['size']"),
                          ({"grid": grid}, "split_global"),
                          ({"dataset": {"kind": "ppm_dir", "path": str(images)}, "batch": 9},
                           f"dataset path {images} with 10 .ppm files")):
@@ -590,8 +613,7 @@ class TestCli:
         # corrupt one parameter, then resume: training must abort with code 3
         state, manifest = load_checkpoint(ckpt)
         state.gen_params["enc.down0.w"].data[0, 0, 0, 0] = np.nan
-        save_checkpoint(state, ckpt, experiment=manifest["experiment"],
-                        experiment_hash=manifest["experiment_hash"])
+        save_checkpoint(state, ckpt, experiment=manifest["experiment"])
         raw["steps"] = 8
         cfg_path.write_text(json.dumps(raw))
         proc = run_cli(["train", "--config", str(cfg_path), "--resume", ckpt, "--force"])
