@@ -17,7 +17,7 @@ features = Tensor(rng.normal(size=(16, 2)) * 0.05, requires_grad=True)
 idx = nearest_indices(features, cb.entries)
 print("assignments:", idx.tolist())
 
-res = quantize_st(features, cb, beta=0.25)
+res = quantize_st(features, cb)
 print("z_q rows equal selected entries exactly:",
       np.array_equal(res.z_q.data, cb.entries.data[res.indices]))
 print(f"codebook term   {res.codebook_term.item():.6f}")

@@ -25,7 +25,7 @@ tf = TransformerParams(4, 2, 2, 32, rng=component_rng(2, "tf"))
 state = QuantizerState([
     Head("global", Codebook(16, 4, rng=component_rng(2, "cb_g")), refiner=tf),
     Head("local", Codebook(16, 4, rng=component_rng(2, "cb_l"))),
-], beta=0.25)
+])
 
 # Fresh transformers start as the identity (zero-initialised residual
 # output projections), so refinement is a no-op until training moves it.

@@ -1,21 +1,18 @@
 """Checkpoint directories and the step-metrics CSV.
 
-A checkpoint is a directory holding the one file ``CHECKPOINT_FILE``: a
-manifest line of compact sorted JSON (format version 6, config echo with
-the seed, step, optimizer counters, usage ``counts`` and ``tensors``, the
-list of tensor keys), then one ``tensor_io`` dump per key in that order,
-ending exactly after the last. State keys (``global_cb``,
+A checkpoint is a directory holding the one file ``CHECKPOINT_FILE``, a
+``tensor_io`` container (CRC-checked header line plus one dump per tensor).
+Its header is the manifest: format version 7, config echo with the seed,
+step, optimizer counters and usage ``counts``. State keys (``global_cb``,
 ``tf.layer{i}.*``, ...) are kept; Adam moments are
 ``adam_m.<key>``/``adam_v.<key>``; ``counts`` maps each name
 ``codebooks()`` gives to its ``window`` and ``cumulative`` count vectors.
-One ``atomic_write_bytes`` renames the whole file into place, so an
-interrupted save leaves the previous checkpoint intact, never a mix of old
-and new tensors.
+The container is renamed into place whole, so an interrupted save leaves
+the previous checkpoint intact, never a mix of old and new tensors.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -23,9 +20,9 @@ import numpy as np
 from . import tensor_io
 from .model import ModelState, TrainConfig, init_model
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 CHECKPOINT_FILE = "checkpoint.dvq"
-_MANIFEST_KEYS = {"step", "config", "adam_t_gen", "adam_t_disc", "counts", "tensors"}
+_MANIFEST_KEYS = {"step", "config", "adam_t_gen", "adam_t_disc", "counts"}
 
 
 def _restore_counts(cb, blob, where):
@@ -52,30 +49,19 @@ def save_checkpoint(state: ModelState, dirpath: str, experiment: dict | None = N
         "adam_t_disc": state.adam_t_disc,
         "counts": {name: {"window": cb.window_counts.tolist(), "cumulative": cb.counts.tolist()}
                    for name, cb in state.quantizer.codebooks().items()},
-        "tensors": list(tensors),
     }
     if experiment is not None:
         manifest["experiment"] = experiment
-    parts = [json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode(), b"\n"]
-    parts += [tensor_io.array_to_bytes(arr) for arr in tensors.values()]
     os.makedirs(dirpath, exist_ok=True)
-    tensor_io.atomic_write_bytes(os.path.join(dirpath, CHECKPOINT_FILE), b"".join(parts))
+    tensor_io.write_bundle(os.path.join(dirpath, CHECKPOINT_FILE), manifest, tensors)
 
 
 def load_checkpoint(dirpath: str, config: TrainConfig | None = None) -> tuple[ModelState, dict]:
     """The state and manifest under ``dirpath``, the model built from ``config``
     if given (a forced resume), else from the manifest; its tensors must fit."""
     path = os.path.join(dirpath, CHECKPOINT_FILE)
-    with open(path, "rb") as f:
-        blob = f.read()
-    newline = blob.find(b"\n")
-    if newline < 0:
-        raise ValueError(f"{path}: checkpoint is cut inside its manifest line")
-    try:
-        manifest = json.loads(blob[:newline])
-    except ValueError as e:
-        raise ValueError(f"{path}: manifest line is not JSON: {e}") from None
-    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    manifest, arrays = tensor_io.read_bundle(path)
+    version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint format {version}, expected {FORMAT_VERSION}")
     missing = _MANIFEST_KEYS - set(manifest)
@@ -96,16 +82,6 @@ def load_checkpoint(dirpath: str, config: TrainConfig | None = None) -> tuple[Mo
     counters = [manifest[k] for k in ("step", "adam_t_gen", "adam_t_disc")]
     if any(type(v) is not int or v < 0 for v in counters):
         raise ValueError(f"{path}: manifest step/adam_t_gen/adam_t_disc {counters} are not all counts")
-    if not (isinstance(manifest["tensors"], list) and all(type(k) is str for k in manifest["tensors"])):
-        raise ValueError(f"{path}: manifest tensors {manifest['tensors']!r} is not a list of keys")
-    arrays, pos = {}, newline + 1
-    for key in manifest["tensors"]:
-        try:
-            arrays[key], pos = tensor_io.bytes_to_array(blob, pos)
-        except ValueError as e:
-            raise ValueError(f"{path}: tensor {key!r}: {e}") from None
-    if pos != len(blob):
-        raise ValueError(f"{path}: {len(blob) - pos} bytes after the last tensor dump")
 
     # init_model makes fresh what the arrays lack or hold in another shape; the checks refuse it
     state = init_model(config, tensors=arrays)
@@ -160,11 +136,11 @@ class CsvLog:
 
 
 def read_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    """Header and rows; an empty file has neither. A last row whose cell
-    count differs from the header's is the tail of an interrupted write and
-    is dropped."""
+    """Header and rows, a blank line being a row of one empty cell; an empty
+    file has neither. A last row whose cell count differs from the header's
+    is the tail of an interrupted write and is dropped."""
     with open(path) as f:
-        lines = [ln.rstrip("\n").split(",") for ln in f if ln.strip()]
+        lines = [ln.rstrip("\n").split(",") for ln in f]
     header, rows = (lines[0], lines[1:]) if lines else ([], [])
     if rows and len(rows[-1]) != len(header):
         rows.pop()
@@ -173,9 +149,11 @@ def read_rows(path: str) -> tuple[list[str], list[list[str]]]:
 
 def column(path: str, rows, i: int, kind=float) -> list:
     """Cell ``i`` of each of ``path``'s ``rows`` (from ``read_rows``) as ``kind``;
-    a cell that does not parse is refused with its file and line."""
+    a missing cell or one that does not parse is refused with its file and line."""
     out = []
     for line, row in enumerate(rows, start=2):   # line 1 is the header
+        if len(row) <= i:
+            raise ValueError(f"{path}: line {line}: has {len(row)} cells, no cell {i}")
         try:
             out.append(kind(row[i]))
         except ValueError:

@@ -43,10 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("export", help="dump a codebook from a checkpoint")
+    p = sub.add_parser("export", help="write a codebook's entries and counts as a tensor container")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--which", choices=("global", "local"), required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="tensor container to write (read it with "
+                   "dualvq.tensor_io.read_bundle)")
     return parser
 
 

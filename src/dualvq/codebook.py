@@ -15,16 +15,14 @@ every element of the feature block.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (ShapeError, Tensor, as_tensor, gather_rows, mse_loss, stop_gradient,
                        straight_through)
-from . import tensor_io
 
-CODEBOOK_MAGIC = b"DVQC"
+BETA = 0.25   # weight of the commitment term
 # elements of the (rows, K) rank block nearest_indices screens at once (4 MiB)
 NEAREST_BLOCK_ELEMS = 1 << 19
 _UNIT = np.finfo(np.float64).eps / 2
@@ -147,14 +145,15 @@ def vq_terms(features: Tensor, z_q_values: Tensor, beta: float) -> tuple[Tensor,
     return codebook_term, commitment_term
 
 
-def quantize_st(features: Tensor, cb: Codebook, beta: float = 0.25,
-                entries: Tensor | None = None, update_usage: bool = True) -> QuantizationResult:
+def quantize_st(features: Tensor, cb: Codebook, entries: Tensor | None = None,
+                update_usage: bool = True) -> QuantizationResult:
     """Quantize feature rows against a codebook with a straight-through backward.
 
     ``entries`` overrides the lookup table (e.g. refined entries) while the
     codebook still owns the learnable parameters and the usage counters.
     The decoder-path gradient on ``z_q`` lands on ``features`` unchanged;
-    entries train only through ``codebook_term``.
+    entries train only through ``codebook_term``; the commitment term is
+    weighted by ``BETA``.
     """
     table = cb.entries if entries is None else entries
     if features.shape[-1] != cb.dim:
@@ -162,7 +161,7 @@ def quantize_st(features: Tensor, cb: Codebook, beta: float = 0.25,
     idx = nearest_indices(features, table)
     selected = gather_rows(table, idx)
     z_q = straight_through(features, selected)
-    codebook_term, commitment_term = vq_terms(features, selected, beta)
+    codebook_term, commitment_term = vq_terms(features, selected, BETA)
     if update_usage:
         cb.record(idx)
     return QuantizationResult(z_q=z_q, indices=idx, codebook_term=codebook_term,
@@ -184,31 +183,3 @@ def usage_stats(cb: Codebook) -> tuple[float, float]:
     entropy = -(nz * np.log(nz)).sum()
     return float(np.exp(entropy)), active
 
-
-def dump_codebook(cb: Codebook, path: str):
-    """Write magic, K, d, the entries dump, then cumulative counts as u64[K]."""
-    payload = CODEBOOK_MAGIC + struct.pack("<II", cb.n_entries, cb.dim)
-    payload += tensor_io.array_to_bytes(cb.entries.data)
-    payload += cb.counts.astype("<u8").tobytes()
-    tensor_io.atomic_write_bytes(path, payload)
-
-
-def load_codebook(path: str) -> Codebook:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 12 or blob[:4] != CODEBOOK_MAGIC:
-        raise ValueError(f"{path}: bad or cut 12-byte codebook dump header {blob[:12]!r}")
-    k, d = struct.unpack_from("<II", blob, 4)
-    if k < 1 or d < 1:
-        raise ValueError(f"{path}: header says K={k}, d={d}; a codebook needs K >= 1 and d >= 1")
-    try:
-        entries, pos = tensor_io.bytes_to_array(blob, 12)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
-    if entries.shape != (k, d):
-        raise ValueError(f"{path}: entries dump has shape {entries.shape}, header says ({k}, {d})")
-    if len(blob) != pos + 8 * k:
-        raise ValueError(f"{path}: codebook dump is {len(blob)} bytes, expected {pos + 8 * k}")
-    cb = Codebook(k, d, entries=entries)
-    cb.counts = np.frombuffer(blob[pos:], dtype="<u8").astype(np.uint64)
-    return cb

@@ -35,7 +35,6 @@ class Head:
 @dataclass
 class QuantizerState:
     heads: list[Head]
-    beta: float = 0.25
 
     # read by the benchmark's checks on dual checkpoints
     global_cb = property(lambda self: self.heads[0].codebook)
@@ -104,8 +103,7 @@ def quantize_dual(z: Tensor, state: QuantizerState, update_usage: bool = True,
         part = z
         if head is not state.heads[-1]:
             part, z = split_channels(z, head.codebook.dim)
-        res = quantize_st(channels_to_rows(part), head.codebook, beta=state.beta, entries=table,
-                          update_usage=update_usage)
+        res = quantize_st(channels_to_rows(part), head.codebook, entries=table, update_usage=update_usage)
         results.append(res)
         parts.append(rows_to_channels(res.z_q, b, h, w))
     return (parts[0] if len(parts) == 1 else concat(parts, axis=1)), results

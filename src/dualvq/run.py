@@ -18,7 +18,6 @@ from . import tensor_io
 from .autodiff import NonFiniteError, no_grad
 from .checkpoint import (CHECKPOINT_FILE, CsvLog, column, format_cell, load_checkpoint, read_rows,
                          save_checkpoint)
-from .codebook import dump_codebook
 from .config import (ConfigError, ExperimentConfig, config_from_dict, experiment_hash, grid_run, trajectory,
                      write_echo)
 from .data import SPLITS, batch_indices, build_dataset, epoch_of_step
@@ -236,8 +235,11 @@ def run_ablation(cfg: ExperimentConfig) -> str:
 
 
 def export_codebook(checkpoint: str, which: str, out_path: str):
+    """Write one codebook's ``entries``, name and cumulative ``counts`` as a container."""
     state, _ = load_checkpoint(checkpoint)
     table = state.quantizer.codebooks()
     if which not in table:
         raise ConfigError(f"no {which!r} codebook in this checkpoint (have {sorted(table)})")
-    dump_codebook(table[which], out_path)
+    cb = table[which]
+    tensor_io.write_bundle(out_path, {"codebook": which, "counts": cb.counts.tolist()},
+                           {"entries": cb.entries.data})

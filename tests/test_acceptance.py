@@ -253,7 +253,7 @@ def test_criterion_2_quantizer_oracle():
         b, h, ww = (int(v) for v in rng.integers(1, 3, size=3))
         sg, sl = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         kg, kl = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        st = dual_state(rng.normal(size=(kg, sg)), rng.normal(size=(kl, sl)), beta=0.25)
+        st = dual_state(rng.normal(size=(kg, sg)), rng.normal(size=(kl, sl)))
         z = rng.normal(size=(b, sg + sl, h, ww))
         _, (res_g, res_l) = quantize_dual(Tensor(z), st)
         oracle = enumeration_oracle(z, st.global_cb.entries.data, st.local_cb.entries.data, sg, 0.25)

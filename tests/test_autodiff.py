@@ -887,9 +887,26 @@ class TestFiniteAndDump:
 
     @settings(max_examples=300, deadline=None)
     @given(shape=st.lists(st.integers(0, 3), max_size=3), cut=st.integers(0, 200),
-           edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4))
-    def test_cut_or_changed_dump_parses_or_raises_value_error(self, shape, cut, edits):
-        blob = bytearray(tensor_io.array_to_bytes(np.arange(float(np.prod(shape))).reshape(shape)))
+           edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4),
+           container=st.booleans())
+    def test_cut_or_changed_dump_parses_or_raises_value_error(self, tmp_path_factory, shape, cut, edits,
+                                                              container):
+        arr = np.arange(float(np.prod(shape))).reshape(shape)
+        path = tmp_path_factory.mktemp("container") / "t.dvq"
+        if container:
+            tensor_io.write_bundle(str(path), {"name": "t"}, {"a": arr})
+        saved = path.read_bytes() if container else tensor_io.array_to_bytes(arr)
+        blob = bytearray(saved)
         for pos, byte in edits:
             blob[pos % len(blob)] = byte
-        self.parses_or_refuses(bytes(blob[: len(blob) - cut % (len(blob) + 1)]))
+        blob = bytes(blob[: len(blob) - cut % (len(blob) + 1)])
+        if not container:
+            return self.parses_or_refuses(blob)
+        path.write_bytes(blob)
+        try:
+            header, arrays = tensor_io.read_bundle(str(path))
+        except ValueError as e:
+            assert str(path) in str(e)
+        else:   # only an unchanged file loads
+            assert blob == saved and header == {"name": "t", "tensors": ["a"]}
+            assert arrays["a"].tobytes() == arr.tobytes() and arrays["a"].shape == arr.shape

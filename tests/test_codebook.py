@@ -1,5 +1,4 @@
 import math
-import struct
 import tempfile
 import tracemalloc
 
@@ -11,8 +10,6 @@ from dualvq import codebook
 from dualvq.autodiff import ShapeError, Tensor, backward, mul, stop_gradient
 from dualvq.codebook import (
     Codebook,
-    dump_codebook,
-    load_codebook,
     nearest_indices,
     quantize_st,
     usage_stats,
@@ -20,7 +17,6 @@ from dualvq.codebook import (
 )
 from dualvq.checkpoint import load_checkpoint, save_checkpoint
 from dualvq.model import TrainConfig, init_model
-from dualvq.tensor_io import array_to_bytes
 
 
 def make_cb(entries):
@@ -270,42 +266,6 @@ class TestUsageStats:
         cb = make_cb(np.zeros((4, 1)))
         perp, active = usage_stats(cb)
         assert perp == 0.0 and active == 0.0
-
-
-class TestDump:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(42)
-        cb = make_cb(rng.normal(size=(6, 3)))
-        cb.record(rng.integers(0, 6, size=50))
-        path = str(tmp_path / "cb.dvqc")
-        dump_codebook(cb, path)
-        back = load_codebook(path)
-        assert back.n_entries == 6 and back.dim == 3
-        assert np.array_equal(back.entries.data, cb.entries.data)
-        assert np.array_equal(back.counts, cb.counts)
-        assert back.counts.dtype == np.uint64 and int(back.counts.sum()) == 50
-
-    def test_wrong_length_dump_rejected(self, tmp_path):
-        cb = make_cb(np.random.default_rng(43).normal(size=(8, 3)))
-        path = tmp_path / "cb.dvqc"
-        dump_codebook(cb, str(path))
-        blob = path.read_bytes()
-        for bad in (blob[:-24], blob + b"\0" * 8):
-            path.write_bytes(bad)
-            with pytest.raises(ValueError, match="codebook dump"):
-                load_codebook(str(path))
-
-    def test_cut_header_rejected_with_path(self, tmp_path):
-        cb = make_cb(np.random.default_rng(44).normal(size=(4, 3)))
-        path = tmp_path / "cb.dvqc"
-        dump_codebook(cb, str(path))
-        blob = path.read_bytes()
-        wrong_dims = blob[:4] + struct.pack("<II", 4, 2) + blob[12:]  # header (4, 2), entries (4, 3)
-        empty = blob[:4] + struct.pack("<II", 0, 0) + array_to_bytes(np.zeros((0, 0)))
-        for bad in [blob[:n] for n in range(12)] + [wrong_dims, blob[:40], empty]:  # 40: cut in entries
-            path.write_bytes(bad)
-            with pytest.raises(ValueError, match="cb.dvqc"):
-                load_codebook(str(path))
 
 
 def explicit_scan(feats, entries):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualvq.codebook import BETA
 from dualvq.config import (
     ConfigError,
     ExperimentConfig,
@@ -25,7 +26,6 @@ from dualvq.data import (
     split_rows,
     synth_dataset,
 )
-from dualvq.dual_quantizer import QuantizerState
 from dualvq.model import DISC_WEIGHT, init_model
 
 
@@ -163,7 +163,7 @@ class TestConfig:
         assert cfg.train.learning_rate == 1e-4
         assert cfg.train.disc_start_step == 500
         assert DISC_WEIGHT == 0.8
-        assert init_model(cfg.train).quantizer.beta == QuantizerState.beta == 0.25
+        assert BETA == 0.25 and not hasattr(init_model(cfg.train).quantizer, "beta")
         assert cfg.train.lambda_max == 1e4 and "lambda_max" not in cfg.train.to_dict()
         assert cfg.train.image_size == 32
         assert cfg.train.latent_channels == 8

@@ -17,14 +17,12 @@ from dualvq.transformer import TransformerParams, refine
 from dualvq.autodiff import concat
 
 
-def dual_state(entries_g, entries_l, tf_params=None, beta=0.25):
+def dual_state(entries_g, entries_l, tf_params=None):
     entries_g = np.asarray(entries_g, dtype=np.float64)
     entries_l = np.asarray(entries_l, dtype=np.float64)
     return QuantizerState(
         [Head("global", Codebook(*entries_g.shape, entries=entries_g), tf_params),
-         Head("local", Codebook(*entries_l.shape, entries=entries_l))],
-        beta=beta,
-    )
+         Head("local", Codebook(*entries_l.shape, entries=entries_l))])
 
 
 def enumeration_oracle(z, entries_g, entries_l, split_g, beta):
@@ -185,7 +183,7 @@ class TestQuantizeDual:
         entries_g = np.array([[0.5, 0.5], [-0.5, -0.5]])
         entries_l = np.array([[1.0, 0.0], [0.0, 1.0]])
         tf = TransformerParams(2, 1, 1, 4, rng=component_rng(6, "tf"), zero_residual=True)
-        st = dual_state(entries_g, entries_l, tf_params=tf, beta=0.25)
+        st = dual_state(entries_g, entries_l, tf_params=tf)
         z = np.array([0.4, 0.6, 0.2, 0.9]).reshape(1, 4, 1, 1)
         z_q, (res_g, res_l) = quantize_dual(Tensor(z), st)
         oracle = enumeration_oracle(z, entries_g, entries_l, 2, 0.25)
@@ -205,7 +203,7 @@ class TestQuantizeDual:
             kg, kl = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             entries_g = rng.normal(size=(kg, sg))
             entries_l = rng.normal(size=(kl, sl))
-            st = dual_state(entries_g, entries_l, beta=0.25)
+            st = dual_state(entries_g, entries_l)
             z = rng.normal(size=(b, sg + sl, h, w))
             z_q, (res_g, res_l) = quantize_dual(Tensor(z), st)
             oracle = enumeration_oracle(z, entries_g, entries_l, sg, 0.25)
@@ -282,7 +280,7 @@ class TestSingle:
     def test_matches_manual_scan(self):
         rng = np.random.default_rng(61)
         entries = rng.normal(size=(6, 4))
-        st = QuantizerState([Head("global", Codebook(6, 4, entries=entries))], beta=0.25)
+        st = QuantizerState([Head("global", Codebook(6, 4, entries=entries))])
         z = rng.normal(size=(2, 4, 2, 2))
         z_q, (res,) = quantize_dual(Tensor(z), st)
         rows = z.transpose(0, 2, 3, 1).reshape(-1, 4)

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -47,6 +49,12 @@ JSON_VALUES = st.recursive(
     | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=8)
+
+
+def stamped(body: bytes) -> bytes:
+    """``body`` and the CRC-32 trailer that ends a container, so an edited
+    checkpoint gets past the checksum to the check the edit targets."""
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 @pytest.fixture(scope="module")
@@ -440,10 +448,10 @@ class TestCheckpointRoundTrip:
         other = desk_config(seed=18, latent_channels=6, split_global=3, split_local=3,
                             tf_heads=3)
         path = tmp_path / "ck" / CHECKPOINT_FILE
-        line, _, dumps = path.read_bytes().partition(b"\n")
+        line, _, dumps = path.read_bytes()[:-4].partition(b"\n")
         manifest = json.loads(line)
         manifest["config"] = other.to_dict()
-        path.write_bytes(json.dumps(manifest, sort_keys=True).encode() + b"\n" + dumps)
+        path.write_bytes(stamped(json.dumps(manifest, sort_keys=True).encode() + b"\n" + dumps))
         with pytest.raises(ValueError):
             load_checkpoint(str(tmp_path / "ck"))
 
@@ -453,12 +461,13 @@ class TestCheckpointRoundTrip:
         assert os.listdir(tmp_path / "ck") == [CHECKPOINT_FILE]
         path = tmp_path / "ck" / CHECKPOINT_FILE
         blob = path.read_bytes()
-        line, _, dumps = blob.partition(b"\n")
+        body = blob[:-4]
+        line, _, dumps = body.partition(b"\n")
         manifest = json.loads(line)
 
         def with_manifest(drop=(), **extra):
             kept = {k: v for k, v in manifest.items() if k not in drop}
-            return json.dumps({**kept, **extra}).encode() + b"\n" + dumps
+            return stamped(json.dumps({**kept, **extra}).encode() + b"\n" + dumps)
 
         renamed = with_manifest(drop=["adam_t_disc"], adam_t_discriminator=manifest["adam_t_disc"])
         old_format = with_manifest(format_version=3)
@@ -482,8 +491,9 @@ class TestCheckpointRoundTrip:
         for key in manifest["tensors"]:
             arr, pos = bytes_to_array(dumps, pos)
             arrays.append(np.zeros(1) if key == "adam_m.dec.out.w" else arr)
-        bad_moment = line + b"\n" + b"".join(array_to_bytes(a) for a in arrays)
-        for bad in (blob[:-8], line, blob + b"\0" * 8, b"{" + blob,
+        bad_moment = stamped(line + b"\n" + b"".join(array_to_bytes(a) for a in arrays))
+        for bad in (stamped(body[:-8]), stamped(line), stamped(body + b"\0" * 8), stamped(b"{" + body),
+                    blob[:-8], blob + b"\0" * 8,
                     with_manifest(drop=["step"]), renamed, unknown_key, no_local, short_counts,
                     with_manifest(tensors=keys), narrower, no_window, not_object, *bad_counts,
                     with_manifest(step="ten"), refused_config, bad_moment, partial_config,
@@ -495,24 +505,29 @@ class TestCheckpointRoundTrip:
                 load_checkpoint(str(tmp_path / "ck"))
         with pytest.raises(ValueError, match="format 3"):
             load_checkpoint(str(tmp_path / "ck"))
-        for version in (4, 5):
+        for version in (4, 5, 6):
             path.write_bytes(with_manifest(format_version=version))
             with pytest.raises(ValueError, match=f"format {version}"):
                 load_checkpoint(str(tmp_path / "ck"))
+        # an edit the trailer was not re-stamped for is refused by the checksum
+        path.write_bytes(with_manifest(step=manifest["step"] + 1)[:-4] + blob[-4:])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: CRC-32")):
+            load_checkpoint(str(tmp_path / "ck"))
 
     @settings(max_examples=80, deadline=None)
     @given(key=st.sampled_from(["adam_t_disc", "adam_t_gen", "config", "counts", "format_version",
                                 "step", "tensors"]), value=JSON_VALUES)
     @example(key="config", value=[]).via("a config that parses as every default")
     @example(key="tensors", value=5).via("not a list of keys")
+    @example(key="adam_t_gen", value=3).via("a count that loads")
     def test_any_manifest_field_value_loads_or_names_the_file(self, saved_checkpoint, key, value):
         # a loaded state's config is the manifest's, with no default filled in
         path, blob = saved_checkpoint
-        line, _, dumps = blob.partition(b"\n")
+        line, _, dumps = blob[:-4].partition(b"\n")
         manifest = json.loads(line)
         assert key in manifest
         manifest[key] = value
-        path.write_bytes(json.dumps(manifest).encode() + b"\n" + dumps)
+        path.write_bytes(stamped(json.dumps(manifest).encode() + b"\n" + dumps))
         try:
             state, _ = load_checkpoint(str(path.parent))
         except ValueError as e:

@@ -15,14 +15,14 @@ from dualvq import autodiff as ad
 from dualvq import dual_quantizer, model
 from dualvq import run
 from dualvq.autodiff import NonFiniteError
-from dualvq.checkpoint import (CHECKPOINT_FILE, CsvLog, format_cell, load_checkpoint, read_rows,
+from dualvq.checkpoint import (CHECKPOINT_FILE, CsvLog, column, format_cell, load_checkpoint, read_rows,
                                save_checkpoint)
-from dualvq.codebook import load_codebook
 from dualvq.config import ConfigError, config_from_dict, experiment_hash
 from dualvq.data import batch_indices, build_dataset, save_ppm, split_dataset, split_rows
 from dualvq.model import StepReport, TrainConfig, init_model, training_step
 from dualvq.rng import component_rng
 from dualvq.run import export_codebook, run_ablation, run_eval, run_train
+from dualvq.tensor_io import read_bundle
 
 
 def small_raw(out_dir, **overrides):
@@ -162,6 +162,23 @@ class TestRunTrain:
         with pytest.raises(ValueError, match=re.escape(f"{eval_path}: line 3: cannot read 'x' as float")):
             run_train(config_from_dict(small_raw(tmp_path / "part", steps=12)), resume=last)
 
+    def test_column_refuses_a_short_row_with_its_line(self, tmp_path):
+        path = tmp_path / "eval.csv"
+        path.write_text("step,psnr,l1,l2,fid_star\n1,9.0,0.5,0.25,3.0\n2,1.0\n3,9.0,0.5,0.25,3.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: has 2 cells, no cell 2")):
+            column(str(path), read_rows(str(path))[1], 2)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "steps.csv"
+        text = "step,l_rec\n1,0.5\n\n2,0.25\nx,0.1\n"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: cannot read '' as int")):
+            CsvLog(str(path), ("step", "l_rec"), 2)
+        assert path.read_text() == text
+        path.write_text("step,l_rec\n1,0.5\n\n")   # a cut last row is dropped, blank or not
+        CsvLog(str(path), ("step", "l_rec"), 2).close()
+        assert path.read_text() == "step,l_rec\n1,0.5\n"
+
     def test_log_refuses_another_header(self, tmp_path):
         path = tmp_path / "steps.csv"
         path.write_text("step,psnr\n1,2.0\n")
@@ -272,16 +289,18 @@ class TestRunTrain:
         result = run_train(cfg)
         with open(result.utilization_json) as f:
             by_name = {s["name"]: s for s in json.load(f)["series"]}
-        for which in ("global", "local"):
-            out = str(tmp_path / f"{which}.dvqc")
-            export_codebook(result.final_checkpoint, which, out)
-            cb = load_codebook(out)
-            assert cb.counts.tolist() == by_name[which]["counts"]
-            assert by_name[which]["total_assignments"] == int(cb.counts.sum())
         state, _ = load_checkpoint(result.final_checkpoint)
-        cb = load_codebook(str(tmp_path / "global.dvqc"))
-        assert np.array_equal(cb.entries.data, state.quantizer.global_cb.entries.data)
-        assert (cb.n_entries, cb.dim) == (32, 4)
+        for which, cb in state.quantizer.codebooks().items():
+            out = str(tmp_path / f"{which}.dvq")
+            export_codebook(result.final_checkpoint, which, out)
+            header, arrays = read_bundle(out)
+            assert header["codebook"] == which and list(arrays) == ["entries"]
+            counts = np.array(header["counts"], dtype=np.uint64)
+            assert counts.tobytes() == cb.counts.tobytes()
+            assert header["counts"] == by_name[which]["counts"]
+            assert by_name[which]["total_assignments"] == int(counts.sum())
+            assert arrays["entries"].tobytes() == cb.entries.data.tobytes()
+            assert arrays["entries"].shape == (32, 4)
 
 
 class TestRunEval:
@@ -448,9 +467,21 @@ class TestSingleMode:
 
     def test_export_local_refused(self, tmp_path, single_run):
         with pytest.raises(ConfigError, match="local"):
-            export_codebook(single_run.final_checkpoint, "local", str(tmp_path / "l.dvqc"))
-        export_codebook(single_run.final_checkpoint, "global", str(tmp_path / "g.dvqc"))
-        assert load_codebook(str(tmp_path / "g.dvqc")).dim == 8
+            export_codebook(single_run.final_checkpoint, "local", str(tmp_path / "l.dvq"))
+        assert not os.path.exists(tmp_path / "l.dvq")
+        export_codebook(single_run.final_checkpoint, "global", str(tmp_path / "g.dvq"))
+        assert read_bundle(str(tmp_path / "g.dvq"))[1]["entries"].shape[1] == 8
+
+    def test_export_cut_padded_or_flipped_rejected_with_path(self, tmp_path, single_run):
+        path = tmp_path / "g.dvq"
+        export_codebook(single_run.final_checkpoint, "global", str(path))
+        blob = path.read_bytes()
+        flipped = [blob[:i] + bytes([blob[i] ^ 1]) + blob[i + 1:]
+                   for i in (0, blob.index(b"\n"), blob.index(b"DVQT") + 20, len(blob) - 5, len(blob) - 1)]
+        for bad in [blob[:n] for n in range(len(blob))] + [blob + b"\0", blob + blob[-4:]] + flipped:
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                read_bundle(str(path))
 
 
 TABLE3_GRID = [
