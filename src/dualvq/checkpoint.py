@@ -1,12 +1,11 @@
 """Checkpoint directories and the step-metrics CSV.
 
 A checkpoint is a directory holding the one file ``CHECKPOINT_FILE``, a
-``tensor_io`` container (CRC-checked header line plus one dump per tensor).
-Its header is the manifest: format version 7, config echo with the seed,
-step, optimizer counters and usage ``counts``. State keys (``global_cb``,
-``tf.layer{i}.*``, ...) are kept; Adam moments are
-``adam_m.<key>``/``adam_v.<key>``; ``counts`` maps each name
-``codebooks()`` gives to its ``window`` and ``cumulative`` count vectors.
+``tensor_io`` container whose header line is the manifest: format version 8,
+config echo with the seed, step, optimizer counters, usage ``counts`` and each
+tensor's key and shape. State keys (``global_cb``, ``tf.layer{i}.*``, ...) are
+kept; Adam moments are ``adam_m.<key>``/``adam_v.<key>``; ``counts`` maps each
+name ``codebooks()`` gives to its ``window`` and ``cumulative`` count vectors.
 The container is renamed into place whole, so an interrupted save leaves
 the previous checkpoint intact, never a mix of old and new tensors.
 """
@@ -20,7 +19,7 @@ import numpy as np
 from . import tensor_io
 from .model import ModelState, TrainConfig, init_model
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 CHECKPOINT_FILE = "checkpoint.dvq"
 _MANIFEST_KEYS = {"step", "config", "adam_t_gen", "adam_t_disc", "counts"}
 

@@ -1,6 +1,6 @@
 """Command-line entry points: train, eval, ablate, export.
 
-Exit codes: 0 success, 2 config error, 3 runtime (non-finite) abort.
+Exit codes: 0 success, 2 config error or bad checkpoint or output file, 3 runtime (non-finite) abort.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="write a codebook's entries and counts as a tensor container")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--which", choices=("global", "local"), required=True)
-    p.add_argument("--out", required=True, help="tensor container to write (read it with "
-                   "dualvq.tensor_io.read_bundle)")
+    p.add_argument("--out", required=True, help="file to write: a JSON header line (codebook name, counts, "
+                   "entries' shape), the entries as little-endian float64, a CRC-32; see dualvq.tensor_io")
     return parser
 
 

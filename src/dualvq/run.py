@@ -8,6 +8,7 @@ dataset order, so up to rounding they do not depend on how eval is chunked.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
@@ -80,6 +81,17 @@ def evaluate_state(state: ModelState, images: np.ndarray) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _file_faults(path: str):
+    """A missing, damaged or unwritable checkpoint or output ``path`` as a ``ConfigError`` naming it."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"{path}: {e.strerror or e}") from None
+    except ValueError as e:   # the checkpoint's own refusals name its file
+        raise ConfigError(str(e)) from None
+
+
 def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = False,
               stop_after: int | None = None) -> RunResult:
     """Train to ``cfg.train.steps`` (or ``stop_after``, to simulate an
@@ -103,7 +115,8 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
         state = init_model(cfg.train)
     else:
         # without force a mismatch is refused below, and a match means the same TrainConfig
-        state, manifest = load_checkpoint(resume, cfg.train if force else None)
+        with _file_faults(resume):
+            state, manifest = load_checkpoint(resume, cfg.train if force else None)
         stored, current = trajectory(manifest.get("experiment")), trajectory(cfg.to_dict())
         changed = sorted(k for k in stored.keys() | current.keys() if stored.get(k) != current.get(k))
         if changed and not force:
@@ -154,7 +167,8 @@ def run_train(cfg: ExperimentConfig, resume: str | None = None, force: bool = Fa
 
 def run_eval(checkpoint: str, split: str = "val", out_path: str | None = None) -> dict:
     """Evaluate a checkpoint on one split of the dataset its run trained on."""
-    state, manifest = load_checkpoint(checkpoint)
+    with _file_faults(checkpoint):
+        state, manifest = load_checkpoint(checkpoint)
     stored = manifest.get("experiment")
     try:
         cfg = config_from_dict(stored)
@@ -170,9 +184,10 @@ def run_eval(checkpoint: str, split: str = "val", out_path: str | None = None) -
     ev["checkpoint"] = checkpoint
     ev.update(usage_columns(state.quantizer))
     if out_path:
-        tensor_io.atomic_write_bytes(
-            out_path, json.dumps(sanitize_for_json(ev), indent=1, sort_keys=True).encode()
-        )
+        with _file_faults(out_path):
+            tensor_io.atomic_write_bytes(
+                out_path, json.dumps(sanitize_for_json(ev), indent=1, sort_keys=True).encode()
+            )
     return ev
 
 
@@ -236,10 +251,12 @@ def run_ablation(cfg: ExperimentConfig) -> str:
 
 def export_codebook(checkpoint: str, which: str, out_path: str):
     """Write one codebook's ``entries``, name and cumulative ``counts`` as a container."""
-    state, _ = load_checkpoint(checkpoint)
+    with _file_faults(checkpoint):
+        state, _ = load_checkpoint(checkpoint)
     table = state.quantizer.codebooks()
     if which not in table:
         raise ConfigError(f"no {which!r} codebook in this checkpoint (have {sorted(table)})")
     cb = table[which]
-    tensor_io.write_bundle(out_path, {"codebook": which, "counts": cb.counts.tolist()},
-                           {"entries": cb.entries.data})
+    with _file_faults(out_path):
+        tensor_io.write_bundle(out_path, {"codebook": which, "counts": cb.counts.tolist()},
+                               {"entries": cb.entries.data})

@@ -1,12 +1,13 @@
-"""Binary layouts for dense float64 arrays, and the one container every
-tensor file uses.
+"""The one container every tensor file uses, and atomic writes.
 
-A dump is magic ``DVQT``, version u32, ndim u32, extents u64[ndim], then the
-values as little-endian float64 in row-major order. A container is a header
-line of compact sorted JSON whose ``tensors`` lists the array keys in order,
-one dump per key, then a u32 little-endian CRC-32 of every byte before it;
-``read_bundle`` checks the CRC before it parses anything. Writes are atomic:
-a temp file is renamed into place, and a failed write removes it.
+A container is one header line of compact sorted JSON ended by ``\\n``. Its
+``tensors`` lists ``[key, [extents...]]`` pairs in file order. The values
+follow with nothing between arrays: each array's values (as many as the
+product of its extents, one for a 0-d array) as little-endian float64 in
+row-major order. Last comes a u32 little-endian CRC-32 of every byte before
+it, which ``read_bundle`` checks before it parses anything. It is the layout
+of NumPy's ``.npy`` (NEP 1), with one header for many arrays. Writes are
+atomic: a temp file is renamed into place, and a failed write removes it.
 """
 
 from __future__ import annotations
@@ -14,65 +15,32 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
 import zlib
 
 import numpy as np
 
-MAGIC = b"DVQT"
-VERSION = 1
-
-
-def array_to_bytes(arr: np.ndarray) -> bytes:
-    arr = np.asarray(arr, dtype="<f8")  # keeps 0-d arrays 0-d
-    header = MAGIC + struct.pack("<II", VERSION, arr.ndim)
-    header += struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
-    return header + arr.tobytes()
-
-
-def bytes_to_array(blob, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Parse one dump in ``blob`` (bytes or memoryview) at ``offset``; returns (array,
-    next offset). Raises ``ValueError`` if the blob ends before the dump does."""
-    if len(blob) < offset + 12:
-        raise ValueError(f"tensor dump at byte {offset} is cut inside its 12-byte header")
-    if blob[offset : offset + 4] != MAGIC:
-        raise ValueError(f"bad tensor dump magic {bytes(blob[offset:offset + 4])!r}")
-    version, ndim = struct.unpack_from("<II", blob, offset + 4)
-    if version != VERSION:
-        raise ValueError(f"unsupported tensor dump version {version}")
-    pos = offset + 12
-    if len(blob) < pos + 8 * ndim:
-        raise ValueError(f"tensor dump at byte {offset} is cut inside its {ndim} extents")
-    shape = struct.unpack_from(f"<{ndim}Q", blob, pos)
-    pos += 8 * ndim
-    count = math.prod(shape)
-    if len(blob) < pos + 8 * count:
-        raise ValueError(f"tensor dump at byte {offset} declares shape {shape} but holds "
-                         f"{(len(blob) - pos) // 8} of its {count} values")
-    arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).astype(np.float64)
-    return arr.reshape(shape), pos + 8 * count
-
 
 def write_bundle(path: str, header: dict, arrays: dict):
-    """``header`` with ``tensors`` naming ``arrays``' keys, one dump per array,
-    and the CRC trailer, renamed into place as one file."""
-    parts = [json.dumps({**header, "tensors": list(arrays)}, sort_keys=True,
-                        separators=(",", ":")).encode(), b"\n"]
-    parts += [array_to_bytes(arr) for arr in arrays.values()]
+    """``header`` with ``tensors`` naming ``arrays``' keys and shapes, their
+    values, and the CRC trailer, renamed into place as one file."""
+    arrays = {key: np.asarray(arr, dtype="<f8") for key, arr in arrays.items()}  # keeps 0-d arrays 0-d
+    entries = [[key, list(arr.shape)] for key, arr in arrays.items()]
+    parts = [json.dumps({**header, "tensors": entries}, sort_keys=True, separators=(",", ":")).encode(),
+             b"\n", *(arr.tobytes() for arr in arrays.values())]
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
-    parts.append(struct.pack("<I", crc))
+    parts.append(crc.to_bytes(4, "little"))
     atomic_write_bytes(path, b"".join(parts))
 
 
 def read_bundle(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """(header, arrays by key) of a ``write_bundle`` file; any fault in its
-    bytes or framing is a ``ValueError`` naming ``path``."""
+    bytes or header is a ``ValueError`` naming ``path``."""
     with open(path, "rb") as f:
         blob = f.read()
     body = memoryview(blob)[:-4]
-    if len(blob) < 4 or zlib.crc32(body) != struct.unpack_from("<I", blob, len(body))[0]:
+    if len(blob) < 4 or zlib.crc32(body) != int.from_bytes(blob[-4:], "little"):
         raise ValueError(f"{path}: CRC-32 trailer does not match the file: it is damaged, cut, "
                          "padded or not a tensor container")
     newline = blob.find(b"\n", 0, len(body))
@@ -82,17 +50,28 @@ def read_bundle(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(blob[:newline])
     except ValueError as e:
         raise ValueError(f"{path}: header line is not JSON: {e}") from None
-    keys = header.get("tensors") if isinstance(header, dict) else None
-    if not (isinstance(keys, list) and all(type(k) is str for k in keys)):
-        raise ValueError(f"{path}: header tensors {keys!r} is not a list of keys")
-    arrays, pos = {}, newline + 1
-    for key in keys:
-        try:
-            arrays[key], pos = bytes_to_array(body, pos)
+    entries = header.get("tensors") if isinstance(header, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: header tensors {entries!r} is not a list")
+    keys = set()
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 2 and type(entry[0]) is str
+                and isinstance(entry[1], list) and all(type(n) is int and n >= 0 for n in entry[1])):
+            raise ValueError(f"{path}: header tensors entry {entry!r} is not a [key, [extents...]] pair")
+        if entry[0] in keys:
+            raise ValueError(f"{path}: header names tensor {entry[0]!r} twice")
+        keys.add(entry[0])
+    pos, counts = newline + 1, [math.prod(shape) for _, shape in entries]
+    if pos + 8 * sum(counts) != len(body):
+        raise ValueError(f"{path}: header shapes declare {8 * sum(counts)} bytes of values, "
+                         f"the file holds {len(body) - pos}")
+    arrays = {}
+    for (key, shape), count in zip(entries, counts):
+        try:   # numpy refuses more dimensions than it allows, and extents it cannot index
+            arrays[key] = np.frombuffer(body, "<f8", count, pos).astype(np.float64).reshape(shape)
         except ValueError as e:
             raise ValueError(f"{path}: tensor {key!r}: {e}") from None
-    if pos != len(body):
-        raise ValueError(f"{path}: {len(body) - pos} bytes after the last tensor dump")
+        pos += 8 * count
     return header, arrays
 
 

@@ -1,9 +1,14 @@
+import json
+import math
+import re
+import struct
 import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import scipy.special   # the reference for the engine's own erf and expit kernels
 
 from dualvq import autodiff as ad
@@ -848,65 +853,99 @@ class TestFiniteAndDump:
         node = ad.first_nonfinite(z)
         assert node is y
 
-    def test_dump_roundtrip(self):
-        arr = np.random.default_rng(22).normal(size=(3, 4, 5))
-        blob = tensor_io.array_to_bytes(arr)
-        back, end = tensor_io.bytes_to_array(blob)
-        assert end == len(blob)
-        assert back.shape == arr.shape
-        assert np.array_equal(back, arr)
+    ARRAYS = {"cube": np.random.default_rng(22).normal(size=(3, 4, 5)), "scalar": np.array(3.5),
+              "empty": np.zeros((0, 4)), "row": np.arange(6.0)}
 
-    def test_dump_scalar(self):
-        blob = tensor_io.array_to_bytes(np.array(3.5))
-        back, end = tensor_io.bytes_to_array(blob)
-        assert end == len(blob)
-        assert back.shape == ()
-        assert back == 3.5
+    def test_container_roundtrip_is_bit_exact(self, tmp_path):
+        path = tmp_path / "t.dvq"
+        tensor_io.write_bundle(str(path), {"name": "t"}, self.ARRAYS)
+        header, arrays = tensor_io.read_bundle(str(path))
+        assert header == {"name": "t", "tensors": [[k, list(a.shape)] for k, a in self.ARRAYS.items()]}
+        assert list(arrays) == list(self.ARRAYS)
+        for key, arr in self.ARRAYS.items():
+            assert arrays[key].shape == arr.shape and arrays[key].dtype == np.float64, key
+            assert arrays[key].tobytes() == arr.tobytes(), key
+            assert arrays[key].flags.writeable, key
+        assert arrays["scalar"] == 3.5
 
-    def test_every_cut_dump_rejected(self):
-        blob = tensor_io.array_to_bytes(np.arange(6.0).reshape(2, 3))
+    def test_every_cut_container_rejected(self, tmp_path):
+        path = tmp_path / "t.dvq"
+        tensor_io.write_bundle(str(path), {"name": "t"}, self.ARRAYS)
+        blob = path.read_bytes()
         for n in range(len(blob)):
-            with pytest.raises(ValueError, match="tensor dump"):
-                tensor_io.bytes_to_array(blob[:n])
+            path.write_bytes(blob[:n])
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                tensor_io.read_bundle(str(path))
 
-    @staticmethod
-    def parses_or_refuses(blob, offset=0):
-        try:
-            arr, end = tensor_io.bytes_to_array(blob, offset)
-        except ValueError:
-            return
-        assert offset + 12 <= end <= len(blob)
-        assert arr.dtype == np.float64 and end == offset + 12 + 8 * (arr.ndim + arr.size)
+    def test_repeated_key_refused(self, tmp_path):
+        path = tmp_path / "t.dvq"
+        tensor_io.write_bundle(str(path), {}, {"a": np.ones(3), "b": np.ones(3)})
+        line, _, values = path.read_bytes()[:-4].partition(b"\n")
+        path.write_bytes(stamped(line.replace(b'"b"', b'"a"') + b"\n" + values))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header names tensor 'a' twice")):
+            tensor_io.read_bundle(str(path))
 
     @settings(max_examples=300, deadline=None)
-    @given(blob=st.sampled_from([b"", tensor_io.MAGIC, tensor_io.MAGIC + b"\x01\0\0\0"])
-           .flatmap(lambda head: st.binary(max_size=64).map(lambda tail: head + tail)),
-           offset=st.integers(0, 8))
-    def test_any_bytes_parse_or_raise_value_error(self, blob, offset):
-        self.parses_or_refuses(blob, offset)
+    @given(edits=st.lists(st.sampled_from(["keep", "no shape", "negative", "bool", "float", "64 dims",
+                                           "65 dims", "one short", "one past", "flattened", "renamed"]),
+                          min_size=4, max_size=4),
+           plain_keys=st.booleans())
+    @example(edits=["keep"] * 4, plain_keys=False).via("the file as written")
+    @example(edits=["keep"] * 4, plain_keys=True).via("a format-7 header")
+    @example(edits=["64 dims", "flattened", "64 dims", "flattened"], plain_keys=False).via("reshapes")
+    @example(edits=["one short", "one past", "keep", "keep"], plain_keys=False).via("sizes that still add up")
+    @example(edits=["keep", "65 dims", "keep", "keep"], plain_keys=False).via("numpy's own refusal")
+    @example(edits=["renamed", "keep", "keep", "keep"], plain_keys=False).via("a repeated key")
+    def test_edited_tensor_entries_load_only_if_consistent(self, tmp_path_factory, edits, plain_keys):
+        path = tmp_path_factory.mktemp("container") / "t.dvq"
+        tensor_io.write_bundle(str(path), {"name": "t"}, self.ARRAYS)
+        line, _, values = path.read_bytes()[:-4].partition(b"\n")
+        header = json.loads(line)
+        entries = []
+        for (key, shape), edit in zip(header["tensors"], edits):
+            shape = {"keep": shape, "negative": [-1] + shape, "bool": [True] + shape, "float": shape + [1.0],
+                     "64 dims": shape + [1] * (64 - len(shape)), "65 dims": shape + [1] * (65 - len(shape)),
+                     "one short": [math.prod(shape) - 1], "one past": [math.prod(shape) + 1],
+                     "flattened": [math.prod(shape)], "renamed": shape}.get(edit)
+            entries.append([key] if shape is None else ["row" if edit == "renamed" else key, shape])
+        header["tensors"] = [key for key, *_ in entries] if plain_keys else entries   # the format-7 header
+        path.write_bytes(stamped(json.dumps(header).encode() + b"\n" + values))
+        well_formed = all(len(e) == 2 and len(e[1]) <= 64 and all(type(n) is int and n >= 0 for n in e[1])
+                          for e in entries)
+        consistent = (not plain_keys and well_formed and len({e[0] for e in entries}) == len(entries)
+                      and 8 * sum(math.prod(e[1]) for e in entries) == len(values))
+        try:
+            loaded, arrays = tensor_io.read_bundle(str(path))
+        except ValueError as e:
+            assert not consistent and str(path) in str(e)
+        else:
+            assert consistent and loaded == header
+            assert [[k, list(a.shape)] for k, a in arrays.items()] == entries
+            assert b"".join(a.tobytes() for a in arrays.values()) == values
 
     @settings(max_examples=300, deadline=None)
     @given(shape=st.lists(st.integers(0, 3), max_size=3), cut=st.integers(0, 200),
-           edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4),
-           container=st.booleans())
-    def test_cut_or_changed_dump_parses_or_raises_value_error(self, tmp_path_factory, shape, cut, edits,
-                                                              container):
+           edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4))
+    def test_cut_or_changed_dump_parses_or_raises_value_error(self, tmp_path_factory, shape, cut, edits):
         arr = np.arange(float(np.prod(shape))).reshape(shape)
         path = tmp_path_factory.mktemp("container") / "t.dvq"
-        if container:
-            tensor_io.write_bundle(str(path), {"name": "t"}, {"a": arr})
-        saved = path.read_bytes() if container else tensor_io.array_to_bytes(arr)
+        tensor_io.write_bundle(str(path), {"name": "t"}, {"a": arr})
+        saved = path.read_bytes()
         blob = bytearray(saved)
         for pos, byte in edits:
             blob[pos % len(blob)] = byte
         blob = bytes(blob[: len(blob) - cut % (len(blob) + 1)])
-        if not container:
-            return self.parses_or_refuses(blob)
         path.write_bytes(blob)
         try:
             header, arrays = tensor_io.read_bundle(str(path))
         except ValueError as e:
             assert str(path) in str(e)
         else:   # only an unchanged file loads
-            assert blob == saved and header == {"name": "t", "tensors": ["a"]}
+            assert blob == saved and header == {"name": "t", "tensors": [["a", shape]]}
             assert arrays["a"].tobytes() == arr.tobytes() and arrays["a"].shape == arr.shape
+
+
+def stamped(body: bytes) -> bytes:
+    """``body`` and the CRC-32 trailer that ends a container, so an edited
+    header gets past the checksum to the check the edit targets."""
+    return body + struct.pack("<I", zlib.crc32(body))

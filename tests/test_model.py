@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dualvq.autodiff import NonFiniteError, ShapeError, Tensor, backward, l1_loss, stop_gradient
 from dualvq.checkpoint import CHECKPOINT_FILE, load_checkpoint, save_checkpoint
-from dualvq.tensor_io import array_to_bytes, bytes_to_array
+from dualvq.tensor_io import read_bundle, write_bundle
 from dualvq.data import batch_indices, synth_dataset
 from dualvq.dual_quantizer import quantize_dual
 from dualvq import model
@@ -448,10 +448,10 @@ class TestCheckpointRoundTrip:
         other = desk_config(seed=18, latent_channels=6, split_global=3, split_local=3,
                             tf_heads=3)
         path = tmp_path / "ck" / CHECKPOINT_FILE
-        line, _, dumps = path.read_bytes()[:-4].partition(b"\n")
+        line, _, values = path.read_bytes()[:-4].partition(b"\n")
         manifest = json.loads(line)
         manifest["config"] = other.to_dict()
-        path.write_bytes(stamped(json.dumps(manifest, sort_keys=True).encode() + b"\n" + dumps))
+        path.write_bytes(stamped(json.dumps(manifest, sort_keys=True).encode() + b"\n" + values))
         with pytest.raises(ValueError):
             load_checkpoint(str(tmp_path / "ck"))
 
@@ -462,12 +462,12 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "ck" / CHECKPOINT_FILE
         blob = path.read_bytes()
         body = blob[:-4]
-        line, _, dumps = body.partition(b"\n")
+        line, _, values = body.partition(b"\n")
         manifest = json.loads(line)
 
         def with_manifest(drop=(), **extra):
             kept = {k: v for k, v in manifest.items() if k not in drop}
-            return stamped(json.dumps({**kept, **extra}).encode() + b"\n" + dumps)
+            return stamped(json.dumps({**kept, **extra}).encode() + b"\n" + values)
 
         renamed = with_manifest(drop=["adam_t_disc"], adam_t_discriminator=manifest["adam_t_disc"])
         old_format = with_manifest(format_version=3)
@@ -476,7 +476,7 @@ class TestCheckpointRoundTrip:
         no_local = with_manifest(counts={"global": manifest["counts"]["global"]})
         short = {**manifest["counts"]["local"], "window": manifest["counts"]["local"]["window"][:-1]}
         short_counts = with_manifest(counts={**manifest["counts"], "local": short})
-        keys = [k.replace("enc.proj.b", "enc.proj.bias") for k in manifest["tensors"]]
+        keys = [[k.replace("enc.proj.b", "enc.proj.bias"), shape] for k, shape in manifest["tensors"]]
         narrower = with_manifest(config={**manifest["config"], "enc_channels": [24, 40]})
         no_window = with_manifest(counts={**manifest["counts"],
                                           "local": {"cumulative": short["cumulative"]}})
@@ -487,11 +487,10 @@ class TestCheckpointRoundTrip:
         refused_config = with_manifest(config={**manifest["config"], "latent_channels": 0})
         partial_config = with_manifest(config={k: v for k, v in manifest["config"].items()
                                                if k != "disc_start_step"})
-        arrays, pos = [], 0
-        for key in manifest["tensors"]:
-            arr, pos = bytes_to_array(dumps, pos)
-            arrays.append(np.zeros(1) if key == "adam_m.dec.out.w" else arr)
-        bad_moment = stamped(line + b"\n" + b"".join(array_to_bytes(a) for a in arrays))
+        _, arrays = read_bundle(str(path))
+        write_bundle(str(tmp_path / "bad_moment"), {k: v for k, v in manifest.items() if k != "tensors"},
+                     {**arrays, "adam_m.dec.out.w": np.zeros(1)})
+        bad_moment = (tmp_path / "bad_moment").read_bytes()
         for bad in (stamped(body[:-8]), stamped(line), stamped(body + b"\0" * 8), stamped(b"{" + body),
                     blob[:-8], blob + b"\0" * 8,
                     with_manifest(drop=["step"]), renamed, unknown_key, no_local, short_counts,
@@ -505,7 +504,7 @@ class TestCheckpointRoundTrip:
                 load_checkpoint(str(tmp_path / "ck"))
         with pytest.raises(ValueError, match="format 3"):
             load_checkpoint(str(tmp_path / "ck"))
-        for version in (4, 5, 6):
+        for version in (4, 5, 6, 7):
             path.write_bytes(with_manifest(format_version=version))
             with pytest.raises(ValueError, match=f"format {version}"):
                 load_checkpoint(str(tmp_path / "ck"))
@@ -518,16 +517,16 @@ class TestCheckpointRoundTrip:
     @given(key=st.sampled_from(["adam_t_disc", "adam_t_gen", "config", "counts", "format_version",
                                 "step", "tensors"]), value=JSON_VALUES)
     @example(key="config", value=[]).via("a config that parses as every default")
-    @example(key="tensors", value=5).via("not a list of keys")
+    @example(key="tensors", value=5).via("not a list of [key, shape] pairs")
     @example(key="adam_t_gen", value=3).via("a count that loads")
     def test_any_manifest_field_value_loads_or_names_the_file(self, saved_checkpoint, key, value):
         # a loaded state's config is the manifest's, with no default filled in
         path, blob = saved_checkpoint
-        line, _, dumps = blob[:-4].partition(b"\n")
+        line, _, values = blob[:-4].partition(b"\n")
         manifest = json.loads(line)
         assert key in manifest
         manifest[key] = value
-        path.write_bytes(stamped(json.dumps(manifest).encode() + b"\n" + dumps))
+        path.write_bytes(stamped(json.dumps(manifest).encode() + b"\n" + values))
         try:
             state, _ = load_checkpoint(str(path.parent))
         except ValueError as e:

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import dualvq
 from dualvq import autodiff as ad
-from dualvq import dual_quantizer, model
+from dualvq import cli, dual_quantizer, model
 from dualvq import run
-from dualvq.autodiff import NonFiniteError
+from dualvq.autodiff import NonFiniteError, ShapeError
 from dualvq.checkpoint import (CHECKPOINT_FILE, CsvLog, column, format_cell, load_checkpoint, read_rows,
                                save_checkpoint)
 from dualvq.config import ConfigError, config_from_dict, experiment_hash
@@ -293,14 +294,22 @@ class TestRunTrain:
         for which, cb in state.quantizer.codebooks().items():
             out = str(tmp_path / f"{which}.dvq")
             export_codebook(result.final_checkpoint, which, out)
-            header, arrays = read_bundle(out)
-            assert header["codebook"] == which and list(arrays) == ["entries"]
+            # read as the tensor_io docstring gives the layout, with no dualvq code
+            with open(out, "rb") as f:
+                blob = f.read()
+            assert zlib.crc32(blob[:-4]).to_bytes(4, "little") == blob[-4:]
+            line, _, values = blob[:-4].partition(b"\n")
+            header = json.loads(line)
+            assert header["codebook"] == which and header["tensors"] == [["entries", [32, 4]]]
+            entries = np.frombuffer(values, dtype="<f8").reshape(32, 4)
+            assert entries.tobytes() == cb.entries.data.tobytes()
             counts = np.array(header["counts"], dtype=np.uint64)
             assert counts.tobytes() == cb.counts.tobytes()
             assert header["counts"] == by_name[which]["counts"]
             assert by_name[which]["total_assignments"] == int(counts.sum())
-            assert arrays["entries"].tobytes() == cb.entries.data.tobytes()
-            assert arrays["entries"].shape == (32, 4)
+            loaded, arrays = read_bundle(out)
+            assert loaded == header and list(arrays) == ["entries"]
+            assert arrays["entries"].tobytes() == entries.tobytes() and arrays["entries"].shape == (32, 4)
 
 
 class TestRunEval:
@@ -477,7 +486,8 @@ class TestSingleMode:
         export_codebook(single_run.final_checkpoint, "global", str(path))
         blob = path.read_bytes()
         flipped = [blob[:i] + bytes([blob[i] ^ 1]) + blob[i + 1:]
-                   for i in (0, blob.index(b"\n"), blob.index(b"DVQT") + 20, len(blob) - 5, len(blob) - 1)]
+                   for i in (0, blob.index(b"\n"), blob.index(b'"entries",[') + 11, blob.index(b"\n") + 20,
+                             len(blob) - 5, len(blob) - 1)]
         for bad in [blob[:n] for n in range(len(blob))] + [blob + b"\0", blob + blob[-4:]] + flipped:
             path.write_bytes(bad)
             with pytest.raises(ValueError, match=re.escape(str(path))):
@@ -634,6 +644,35 @@ class TestCli:
     def test_missing_config_exit_two(self, tmp_path):
         proc = run_cli(["train", "--config", str(tmp_path / "absent.json")])
         assert proc.returncode == 2
+
+    def test_missing_or_damaged_checkpoint_or_output_exit_two(self, tmp_path, monkeypatch):
+        result = run_train(config_from_dict(small_raw(tmp_path / "run", steps=2, eval_every=2)))
+        ckpt = result.final_checkpoint
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(small_raw(tmp_path / "resumed", steps=4, eval_every=2)))
+        damaged, absent = tmp_path / "damaged", tmp_path / "absent"
+        damaged.mkdir()
+        (damaged / CHECKPOINT_FILE).write_bytes(b"not a container")
+        cases = [(args, str(bad)) for bad in (absent, damaged) for args in (
+            ["eval", "--checkpoint", str(bad)],
+            ["export", "--checkpoint", str(bad), "--which", "global", "--out", str(tmp_path / "g.dvq")],
+            ["train", "--config", str(cfg_path), "--resume", str(bad)])]
+        cases += [(["eval", "--checkpoint", ckpt, "--out", str(absent / "m.json")], str(absent / "m.json")),
+                  (["export", "--checkpoint", ckpt, "--which", "global", "--out", str(absent / "g.dvq")],
+                   str(absent / "g.dvq"))]
+        for args, path in cases:
+            proc = run_cli(args)
+            assert proc.returncode == 2, proc.stderr
+            assert path in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+        def shape_error(*args):
+            raise ShapeError("internal")
+
+        # a fault inside the program is not the file's: it keeps its traceback
+        monkeypatch.setattr(run, "evaluate_state", shape_error)
+        with pytest.raises(ShapeError, match="internal"):
+            cli.main(["eval", "--checkpoint", ckpt])
 
     def test_nonfinite_abort_exit_three(self, tmp_path):
         cfg_path = tmp_path / "c.json"
