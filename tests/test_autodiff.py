@@ -856,7 +856,7 @@ class TestFiniteAndDump:
     ARRAYS = {"cube": np.random.default_rng(22).normal(size=(3, 4, 5)), "scalar": np.array(3.5),
               "empty": np.zeros((0, 4)), "row": np.arange(6.0)}
 
-    def test_container_roundtrip_is_bit_exact(self, tmp_path):
+    def test_dump_roundtrip(self, tmp_path):
         path = tmp_path / "t.dvq"
         tensor_io.write_bundle(str(path), {"name": "t"}, self.ARRAYS)
         header, arrays = tensor_io.read_bundle(str(path))
@@ -867,6 +867,14 @@ class TestFiniteAndDump:
             assert arrays[key].tobytes() == arr.tobytes(), key
             assert arrays[key].flags.writeable, key
         assert arrays["scalar"] == 3.5
+
+    def test_dump_scalar(self, tmp_path):
+        path = tmp_path / "s.dvq"
+        tensor_io.write_bundle(str(path), {}, {"s": np.array(3.5)})
+        header, arrays = tensor_io.read_bundle(str(path))
+        assert header == {"tensors": [["s", []]]}
+        assert arrays["s"].shape == ()
+        assert arrays["s"] == 3.5
 
     def test_every_cut_container_rejected(self, tmp_path):
         path = tmp_path / "t.dvq"
